@@ -314,7 +314,7 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   auto flip_late = circuit;
   {
     const auto ins = input_lines_of( circuit );
-    const std::vector<control> controls = { { ins[0], true }, { ins[1], true }, { ins[2], true } };
+    const control_list controls = { { ins[0], true }, { ins[1], true }, { ins[2], true } };
     auto target = output_lines_of( circuit ).front();
     for ( const auto line : output_lines_of( circuit ) )
     {

@@ -640,13 +640,21 @@ echo "docs check OK (docs/ARCHITECTURE.md covers every src/* subdirectory)"
 ASAN_DIR="$REPO_ROOT/build-asan-verify"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address \
   -DQSYN_SIMD=native
-cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_verify test_store
+cmake --build "$ASAN_DIR" -j "$(nproc)" \
+  --target test_verify test_store test_truth_table test_lut_xmg test_reversible
 "$ASAN_DIR/tests/test_verify"
 # The artifact store is raw byte-level (de)serialization of attacker-ish
 # input (any on-disk file): run its suite instrumented too.
 "$ASAN_DIR/tests/test_store"
+# Truth-table blocks and Toffoli control lists switch between inline and
+# heap storage, and lut_map's cuts are fixed-capacity arrays: run their
+# suites (including the inline/heap boundary tests) instrumented.
+"$ASAN_DIR/tests/test_truth_table"
+"$ASAN_DIR/tests/test_lut_xmg"
+"$ASAN_DIR/tests/test_reversible"
 echo
-echo "test_verify + test_store OK under AddressSanitizer"
+echo "test_verify + test_store + test_truth_table + test_lut_xmg + test_reversible OK" \
+     "under AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
 # The budget/cancellation/fault-injection paths are counter arithmetic,
@@ -658,7 +666,8 @@ UBSAN_DIR="$REPO_ROOT/build-ubsan-robustness"
 cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=undefined \
   -DQSYN_SIMD=native
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
-  --target test_robustness test_scheduler test_store test_verify
+  --target test_robustness test_scheduler test_store test_verify test_truth_table \
+  test_lut_xmg test_reversible
 "$UBSAN_DIR/tests/test_robustness"
 "$UBSAN_DIR/tests/test_scheduler"
 # The store headers round-trip enums and fixed-width counters from
@@ -668,9 +677,14 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 # 64-bit words: run the verification suite (including every differential
 # wide-vs-64-bit property) under UBSan with the native kernels too.
 "$UBSAN_DIR/tests/test_verify"
+# The small-object storages (truth-table blocks, control lists) and the
+# word-level cut-function swaps in lut_map are shift and union arithmetic.
+"$UBSAN_DIR/tests/test_truth_table"
+"$UBSAN_DIR/tests/test_lut_xmg"
+"$UBSAN_DIR/tests/test_reversible"
 echo
-echo "test_robustness + test_scheduler + test_store + test_verify OK" \
-     "under UndefinedBehaviorSanitizer"
+echo "test_robustness + test_scheduler + test_store + test_verify + test_truth_table" \
+     "+ test_lut_xmg + test_reversible OK under UndefinedBehaviorSanitizer"
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread

@@ -93,7 +93,7 @@ private:
       {
         continue; // nothing to write
       }
-      std::vector<control> cond;
+      control_list cond;
       cond.push_back( { x_[i], true } );
       for ( unsigned j = i + 1u; j < n_; ++j )
       {

@@ -7,8 +7,91 @@
 namespace qsyn
 {
 
+tt_blocks::tt_blocks( std::size_t size ) : size_( size )
+{
+  if ( on_heap() )
+  {
+    heap_ = new std::uint64_t[size]();
+  }
+  else
+  {
+    std::fill_n( inline_, inline_blocks, std::uint64_t{ 0 } );
+  }
+}
+
+tt_blocks::tt_blocks( const tt_blocks& other ) : size_( other.size_ )
+{
+  if ( on_heap() )
+  {
+    heap_ = new std::uint64_t[size_];
+  }
+  std::copy( other.begin(), other.end(), data() );
+}
+
+tt_blocks::tt_blocks( tt_blocks&& other ) noexcept
+{
+  *this = std::move( other );
+}
+
+tt_blocks& tt_blocks::operator=( const tt_blocks& other )
+{
+  if ( this != &other )
+  {
+    tt_blocks copy( other );
+    *this = std::move( copy );
+  }
+  return *this;
+}
+
+tt_blocks& tt_blocks::operator=( tt_blocks&& other ) noexcept
+{
+  if ( this != &other )
+  {
+    release();
+    if ( other.on_heap() )
+    {
+      heap_ = other.heap_;
+    }
+    else
+    {
+      std::copy_n( other.inline_, other.size_, inline_ );
+    }
+    size_ = other.size_;
+    other.size_ = 0u;
+  }
+  return *this;
+}
+
+void tt_blocks::release()
+{
+  if ( on_heap() )
+  {
+    delete[] heap_;
+  }
+  size_ = 0u;
+}
+
+void tt_blocks::resize( std::size_t size )
+{
+  if ( size <= inline_blocks )
+  {
+    std::uint64_t kept[inline_blocks] = {};
+    std::copy_n( data(), std::min( size_, size ), kept );
+    release();
+    std::copy_n( kept, inline_blocks, inline_ );
+  }
+  else
+  {
+    auto* grown = new std::uint64_t[size]();
+    std::copy_n( data(), std::min( size_, size ), grown );
+    release();
+    heap_ = grown;
+  }
+  size_ = size;
+}
+
 truth_table::truth_table( unsigned num_vars )
-    : num_vars_( num_vars ), blocks_( num_blocks_for( num_vars ), 0u )
+    : num_vars_( num_vars ), blocks_( num_blocks_for( num_vars ) )
 {
 }
 
@@ -334,7 +417,7 @@ std::uint64_t compress_remove_bit( std::uint64_t b, unsigned var )
 /// Removes variable `var` from a table of `num_vars` variables stored in
 /// `blocks` by keeping the var=0 half (only valid when the function does not
 /// depend on `var`).  Operates with whole-block moves / word-level folds.
-void remove_var_from_blocks( std::vector<std::uint64_t>& blocks, unsigned num_vars, unsigned var )
+void remove_var_from_blocks( tt_blocks& blocks, unsigned num_vars, unsigned var )
 {
   if ( var >= 6u )
   {

@@ -20,6 +20,55 @@
 namespace qsyn
 {
 
+/// The 64-bit blocks of a truth table.  Up to `inline_blocks` blocks (8
+/// variables) live inside the object; larger tables go to the heap.  The
+/// hot small-function kernels (ISOP, cone collapse, cofactors) create
+/// millions of tables of at most 8 variables, which then never allocate.
+class tt_blocks
+{
+public:
+  static constexpr std::size_t inline_blocks = 4u;
+
+  /// `size` zero blocks.
+  explicit tt_blocks( std::size_t size = 0u );
+  tt_blocks( const tt_blocks& other );
+  tt_blocks( tt_blocks&& other ) noexcept;
+  tt_blocks& operator=( const tt_blocks& other );
+  tt_blocks& operator=( tt_blocks&& other ) noexcept;
+  ~tt_blocks() { release(); }
+
+  std::size_t size() const { return size_; }
+  std::uint64_t* data() { return on_heap() ? heap_ : inline_; }
+  const std::uint64_t* data() const { return on_heap() ? heap_ : inline_; }
+  std::uint64_t* begin() { return data(); }
+  std::uint64_t* end() { return data() + size_; }
+  const std::uint64_t* begin() const { return data(); }
+  const std::uint64_t* end() const { return data() + size_; }
+  std::uint64_t& operator[]( std::size_t i ) { return data()[i]; }
+  const std::uint64_t& operator[]( std::size_t i ) const { return data()[i]; }
+
+  /// Keeps the first min(size(), size) blocks; new blocks are zero.
+  void resize( std::size_t size );
+
+  bool operator==( const tt_blocks& other ) const
+  {
+    return size_ == other.size_ && std::equal( begin(), end(), other.begin() );
+  }
+
+private:
+  /// Heap storage is used exactly when more than `inline_blocks` blocks
+  /// are held.
+  bool on_heap() const { return size_ > inline_blocks; }
+  void release();
+
+  std::size_t size_ = 0u;
+  union
+  {
+    std::uint64_t inline_[inline_blocks];
+    std::uint64_t* heap_;
+  };
+};
+
 /// A Boolean function of `num_vars()` variables stored as an explicit bit
 /// vector of length 2^num_vars.
 class truth_table
@@ -33,8 +82,8 @@ public:
 
   /// Raw 64-bit blocks (LSB-first).  Unused high bits of the last block are
   /// kept zero by all operations.
-  const std::vector<std::uint64_t>& blocks() const { return blocks_; }
-  std::vector<std::uint64_t>& blocks() { return blocks_; }
+  const tt_blocks& blocks() const { return blocks_; }
+  tt_blocks& blocks() { return blocks_; }
 
   bool get_bit( std::uint64_t index ) const;
   void set_bit( std::uint64_t index, bool value );
@@ -124,7 +173,7 @@ private:
   void mask_off_unused();
 
   unsigned num_vars_;
-  std::vector<std::uint64_t> blocks_;
+  tt_blocks blocks_;
 };
 
 /// Hash functor for truth tables.

@@ -8,6 +8,101 @@
 namespace qsyn
 {
 
+static_assert( sizeof( toffoli_gate ) == 24u, "a gate is its control list plus the target" );
+
+control_list::control_list( std::initializer_list<control> controls )
+{
+  for ( const auto& c : controls )
+  {
+    push_back( c );
+  }
+}
+
+control_list::control_list( const control_list& other ) : size_( other.size_ )
+{
+  if ( on_heap() )
+  {
+    set_heap( { new control[size_], size_ } );
+  }
+  std::copy( other.begin(), other.end(), data() );
+}
+
+control_list::control_list( control_list&& other ) noexcept
+{
+  // The raw bytes carry either the inline controls or the heap buffer.
+  std::memcpy( inline_, other.inline_, sizeof inline_ );
+  size_ = other.size_;
+  other.size_ = 0u;
+}
+
+control_list& control_list::operator=( const control_list& other )
+{
+  if ( this != &other )
+  {
+    control_list copy( other );
+    *this = std::move( copy );
+  }
+  return *this;
+}
+
+control_list& control_list::operator=( control_list&& other ) noexcept
+{
+  if ( this != &other )
+  {
+    release();
+    std::memcpy( inline_, other.inline_, sizeof inline_ );
+    size_ = other.size_;
+    other.size_ = 0u;
+  }
+  return *this;
+}
+
+void control_list::release()
+{
+  if ( on_heap() )
+  {
+    delete[] heap().data;
+  }
+  size_ = 0u;
+}
+
+void control_list::push_back( const control& c )
+{
+  const auto value = c; // `c` may live in the buffer a regrowth frees
+  if ( size_ < inline_capacity )
+  {
+    inline_[size_++] = value;
+    return;
+  }
+  const auto old = data();
+  const auto capacity = on_heap() ? heap().capacity : inline_capacity;
+  if ( size_ == capacity )
+  {
+    auto* grown = new control[2u * capacity];
+    std::copy( old, old + size_, grown );
+    if ( on_heap() )
+    {
+      delete[] old;
+    }
+    set_heap( { grown, 2u * capacity } );
+  }
+  heap().data[size_++] = value;
+}
+
+control* control_list::erase( control* first, control* last )
+{
+  const auto index = first - begin();
+  const auto new_size = static_cast<std::uint32_t>( std::move( last, end(), first ) - begin() );
+  if ( on_heap() && new_size <= inline_capacity )
+  {
+    const auto h = heap();
+    std::copy( h.data, h.data + new_size, inline_ );
+    delete[] h.data;
+  }
+  size_ = new_size;
+  return begin() + index;
+}
+
 reversible_circuit::reversible_circuit( unsigned num_lines ) : lines_( num_lines ) {}
 
 unsigned reversible_circuit::add_line( const line_info& info )
@@ -44,9 +139,9 @@ void reversible_circuit::add_toffoli( std::uint32_t c0, std::uint32_t c1, std::u
   add_gate( { { { c0, true }, { c1, true } }, target } );
 }
 
-void reversible_circuit::add_mct( const std::vector<control>& controls, std::uint32_t target )
+void reversible_circuit::add_mct( control_list controls, std::uint32_t target )
 {
-  add_gate( { controls, target } );
+  add_gate( { std::move( controls ), target } );
 }
 
 void reversible_circuit::add_swap( std::uint32_t a, std::uint32_t b )

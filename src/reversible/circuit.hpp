@@ -13,7 +13,10 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -32,10 +35,75 @@ struct control
   }
 };
 
+/// The controls of one gate.  Up to `inline_capacity` controls live inside
+/// the gate, so NOT, CNOT and Toffoli gates (most gates of every flow's
+/// circuits) need no allocation; longer lists go to the heap.  The heap
+/// buffer's address and capacity are kept in the bytes of the inline
+/// controls, so the list needs only 4-byte alignment and a whole gate
+/// (list + target) is 24 bytes.
+class control_list
+{
+public:
+  static constexpr std::uint32_t inline_capacity = 2u;
+
+  control_list() noexcept {}
+  control_list( std::initializer_list<control> controls );
+  control_list( const control_list& other );
+  control_list( control_list&& other ) noexcept;
+  control_list& operator=( const control_list& other );
+  control_list& operator=( control_list&& other ) noexcept;
+  ~control_list() { release(); }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0u; }
+  control* data() { return on_heap() ? heap().data : inline_; }
+  const control* data() const { return on_heap() ? heap().data : inline_; }
+  control* begin() { return data(); }
+  control* end() { return data() + size_; }
+  const control* begin() const { return data(); }
+  const control* end() const { return data() + size_; }
+  control& operator[]( std::size_t i ) { return data()[i]; }
+  const control& operator[]( std::size_t i ) const { return data()[i]; }
+
+  void push_back( const control& c );
+  /// Removes [first, last); returns the position after the removed range
+  /// (in the new storage if the list moved back inline).
+  control* erase( control* first, control* last );
+  void clear() { release(); }
+
+  bool operator==( const control_list& other ) const
+  {
+    return size_ == other.size_ && std::equal( begin(), end(), other.begin() );
+  }
+
+private:
+  struct heap_buffer
+  {
+    control* data;
+    std::uint32_t capacity;
+  };
+  static_assert( sizeof( heap_buffer ) <= inline_capacity * sizeof( control ) );
+
+  /// Heap storage is used exactly when more than `inline_capacity`
+  /// controls are held.
+  bool on_heap() const { return size_ > inline_capacity; }
+  heap_buffer heap() const
+  {
+    heap_buffer h;
+    std::memcpy( &h, inline_, sizeof h );
+    return h;
+  }
+  void set_heap( const heap_buffer& h ) { std::memcpy( inline_, &h, sizeof h ); }
+  void release();
+
+  control inline_[inline_capacity];
+  std::uint32_t size_ = 0u;
+};
+
 /// One mixed-polarity multiple-controlled Toffoli gate.
 struct toffoli_gate
 {
-  std::vector<control> controls;
+  control_list controls;
   std::uint32_t target = 0;
 
   unsigned num_controls() const { return static_cast<unsigned>( controls.size() ); }
@@ -84,7 +152,7 @@ public:
   /// Toffoli with two positive controls.
   void add_toffoli( std::uint32_t c0, std::uint32_t c1, std::uint32_t target );
   /// General gate from (line, polarity) pairs.
-  void add_mct( const std::vector<control>& controls, std::uint32_t target );
+  void add_mct( control_list controls, std::uint32_t target );
   /// SWAP via three CNOTs.
   void add_swap( std::uint32_t a, std::uint32_t b );
   /// Fredkin (controlled swap) via CNOT + Toffoli + CNOT.

@@ -17,7 +17,7 @@ namespace
 /// factoring ancillae) and the outputs it feeds.
 struct synth_term
 {
-  std::vector<control> controls;
+  control_list controls;
   std::uint64_t output_mask = 0;
 };
 
@@ -45,7 +45,7 @@ struct pair_key
   }
 };
 
-bool has_control( const std::vector<control>& controls, const control& c )
+bool has_control( const control_list& controls, const control& c )
 {
   return std::find( controls.begin(), controls.end(), c ) != controls.end();
 }
@@ -84,7 +84,6 @@ reversible_circuit esop_synthesize( const esop& expression, const esop_synth_par
   {
     synth_term st;
     st.output_mask = t.output_mask;
-    st.controls.reserve( static_cast<std::size_t>( t.product.num_literals() ) );
     for ( auto m = t.product.mask; m != 0u; m &= m - 1u )
     {
       const auto v = static_cast<unsigned>( lsb_index( m ) );

@@ -188,7 +188,7 @@ private:
   {
     reversible_circuit circuit( num_lines_ );
     const auto emit = [&]( const tbs_gate& g ) {
-      std::vector<control> controls;
+      control_list controls;
       for ( unsigned b = 0; b < num_lines_; ++b )
       {
         if ( ( g.controls >> b ) & 1u )
@@ -196,7 +196,7 @@ private:
           controls.push_back( { b, true } );
         }
       }
-      circuit.add_mct( controls, g.target );
+      circuit.add_mct( std::move( controls ), g.target );
     };
     // f = I_1 ... I_k  then  O_m ... O_1  (see tbs.hpp derivation).
     for ( const auto& g : input_gates_ )

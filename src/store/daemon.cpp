@@ -15,6 +15,7 @@
 #include "../common/timer.hpp"
 #include "../core/dse.hpp" // dse_label
 #include "../core/task_graph.hpp"
+#include "../synth/lut_map.hpp"
 #include "../verilog/elaborator.hpp"
 #include "serialize.hpp"
 
@@ -370,6 +371,14 @@ flow_params params_from_fields( const std::map<std::string, std::string>& fields
   params.esop_p = uint_field( fields, "esop_p", params.esop_p );
   params.run_exorcism = uint_field( fields, "exorcism", params.run_exorcism ? 1u : 0u ) != 0u;
   params.cut_size = uint_field( fields, "cut_size", params.cut_size );
+  if ( params.cut_size < lut_map_params::min_cut_size ||
+       params.cut_size > lut_map_params::max_cut_size )
+  {
+    throw std::runtime_error( "cut_size must be in [" +
+                              std::to_string( lut_map_params::min_cut_size ) + ", " +
+                              std::to_string( lut_map_params::max_cut_size ) + "], got " +
+                              std::to_string( params.cut_size ) );
+  }
   const auto cleanup = field_or( fields, "cleanup", "keep_garbage" );
   if ( cleanup == "keep_garbage" )
   {
@@ -1008,8 +1017,11 @@ void synthesis_daemon::accept_loop()
         auto done = std::make_shared<std::atomic<bool>>( false );
         connection_slot slot;
         slot.done = done;
+        slot.fd = fd;
         slot.thread = std::thread( [this, fd, done] {
           handle_connection( fd );
+          std::lock_guard<std::mutex> lock( conn_mutex_ );
+          ::close( fd );
           done->store( true );
         } );
         connections_.push_back( std::move( slot ) );
@@ -1080,7 +1092,6 @@ void synthesis_daemon::handle_connection( int fd )
       const auto response = handle_request( line ) + "\n";
       if ( !send_all( fd, response ) )
       {
-        ::close( fd );
         return;
       }
     }
@@ -1099,7 +1110,6 @@ void synthesis_daemon::handle_connection( int fd )
       break;
     }
   }
-  ::close( fd );
 }
 
 void synthesis_daemon::stop()
@@ -1120,9 +1130,18 @@ void synthesis_daemon::stop()
     listen_fd_ = -1;
     ::unlink( options_.socket_path.c_str() );
   }
+  // A connection thread blocks in recv() while its client stays idle;
+  // shutting the socket down makes that recv() return 0 so join() ends.
   std::list<connection_slot> connections;
   {
     std::lock_guard<std::mutex> lock( conn_mutex_ );
+    for ( const auto& slot : connections_ )
+    {
+      if ( !slot.done->load() )
+      {
+        ::shutdown( slot.fd, SHUT_RDWR );
+      }
+    }
     connections.swap( connections_ );
   }
   for ( auto& slot : connections )

@@ -180,11 +180,15 @@ private:
   /// connection thread as its last action, and the accept loop joins and
   /// erases finished slots before admitting the next connection, so the
   /// daemon's thread count is bounded by live connections instead of
-  /// growing with every connection ever accepted.
+  /// growing with every connection ever accepted.  The thread closes `fd`
+  /// and sets `done` together under `conn_mutex_`, so stop() can shut down
+  /// the socket of every slot not yet done (waking a thread blocked in
+  /// recv) without touching a closed or reused descriptor.
   struct connection_slot
   {
     std::thread thread;
     std::shared_ptr<std::atomic<bool>> done;
+    int fd = -1;
   };
   std::mutex conn_mutex_; ///< guards connections_
   std::list<connection_slot> connections_;

@@ -317,7 +317,6 @@ reversible_circuit read_circuit( byte_reader& r )
     {
       throw deserialize_error( "circuit: more controls than lines" );
     }
-    gate.controls.reserve( num_controls );
     for ( std::uint32_t c = 0; c < num_controls; ++c )
     {
       control ctrl;

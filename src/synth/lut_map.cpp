@@ -1,9 +1,11 @@
 #include "lut_map.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace qsyn
@@ -41,44 +43,93 @@ std::vector<bool> lut_network::evaluate( const std::vector<bool>& inputs ) const
 namespace
 {
 
-/// A cut: sorted leaf nodes plus the cut function over those leaves.
+constexpr unsigned max_cut_size = lut_map_params::max_cut_size;
+
+/// A priority cut: up to six sorted leaf nodes, the cut function as one
+/// 64-bit truth-table word over the leaves (variables at or above
+/// `num_leaves` are don't-cares, so the word is their replication), and a
+/// leaf signature with bit (leaf mod 64) set per leaf.  Distinct leaves may
+/// share a signature bit, so popcount(sig0 | sig1) never exceeds the size of
+/// the leaf union: a merge is skipped on the signature only if infeasible.
 struct cut
 {
-  std::vector<std::uint32_t> leaves;
-  truth_table function;
-  std::uint32_t depth = 0;
+  std::uint64_t function = 0u;
+  std::uint64_t signature = 0u;
   double area_flow = 0.0;
+  std::uint32_t depth = 0u;
+  std::uint32_t num_leaves = 0u;
+  std::array<std::uint32_t, max_cut_size> leaves{};
 };
 
-/// Re-expresses `tt` (over `from` leaves) on the union leaf set `to`.
-truth_table expand_tt( const truth_table& tt, const std::vector<std::uint32_t>& from,
-                       const std::vector<std::uint32_t>& to )
+/// Swaps variables i < j of a six-variable truth-table word.
+std::uint64_t swap_vars( std::uint64_t w, unsigned i, unsigned j )
 {
-  truth_table result( static_cast<unsigned>( to.size() ) );
-  // Build a map from `from` position to `to` position.
-  std::vector<unsigned> pos( from.size() );
-  for ( std::size_t i = 0; i < from.size(); ++i )
+  const unsigned shift = ( 1u << j ) - ( 1u << i );
+  const auto up = projections[i] & ~projections[j]; // x_i = 1, x_j = 0
+  return ( w & ~( up | ( up << shift ) ) ) | ( ( w & up ) << shift ) | ( ( w >> shift ) & up );
+}
+
+/// Re-expresses a cut function on the leaf union: leaf i moves to union
+/// position pos[i] >= i.  Going from the highest leaf down, position pos[i]
+/// always holds a don't-care variable, so one swap per leaf suffices.
+std::uint64_t expand_function( const cut& c, const unsigned* pos )
+{
+  auto w = c.function;
+  for ( unsigned i = c.num_leaves; i-- > 0u; )
   {
-    const auto it = std::lower_bound( to.begin(), to.end(), from[i] );
-    assert( it != to.end() && *it == from[i] );
-    pos[i] = static_cast<unsigned>( it - to.begin() );
-  }
-  for ( std::uint64_t m = 0; m < result.num_bits(); ++m )
-  {
-    std::uint64_t src = 0;
-    for ( std::size_t i = 0; i < from.size(); ++i )
+    if ( pos[i] != i )
     {
-      if ( ( m >> pos[i] ) & 1u )
-      {
-        src |= std::uint64_t{ 1 } << i;
-      }
-    }
-    if ( tt.get_bit( src ) )
-    {
-      result.set_bit( m, true );
+      w = swap_vars( w, i, pos[i] );
     }
   }
-  return result;
+  return w;
+}
+
+/// Sorted union of the leaves of `a` and `b` into `out`, recording where
+/// each input leaf lands; false if the union has more than `k` leaves.
+bool merge_leaves( const cut& a, const cut& b, unsigned k, cut& out, unsigned* pos_a,
+                   unsigned* pos_b )
+{
+  constexpr auto none = std::numeric_limits<std::uint32_t>::max();
+  unsigned i = 0u, j = 0u, n = 0u;
+  while ( i < a.num_leaves || j < b.num_leaves )
+  {
+    if ( n == k )
+    {
+      return false;
+    }
+    const auto la = i < a.num_leaves ? a.leaves[i] : none;
+    const auto lb = j < b.num_leaves ? b.leaves[j] : none;
+    if ( la <= lb )
+    {
+      pos_a[i++] = n;
+    }
+    if ( lb <= la )
+    {
+      pos_b[j++] = n;
+    }
+    out.leaves[n++] = std::min( la, lb );
+  }
+  out.num_leaves = n;
+  return true;
+}
+
+/// The single-leaf cut {n} (function x_0).
+cut unit_cut( std::uint32_t n )
+{
+  cut c;
+  c.function = projections[0];
+  c.signature = std::uint64_t{ 1 } << ( n & 63u );
+  c.num_leaves = 1u;
+  c.leaves[0] = n;
+  return c;
+}
+
+truth_table cut_function( const cut& c )
+{
+  truth_table tt( c.num_leaves );
+  tt.blocks()[0] = c.function & block_mask( c.num_leaves );
+  return tt;
 }
 
 } // namespace
@@ -86,18 +137,23 @@ truth_table expand_tt( const truth_table& tt, const std::vector<std::uint32_t>& 
 lut_network lut_map( const aig_network& aig, const lut_map_params& params )
 {
   const auto k = params.cut_size;
-  if ( k < 2u )
+  if ( k < lut_map_params::min_cut_size || k > max_cut_size )
   {
-    // Every merged cut of an AND node has >= 2 leaves; k < 2 would leave
-    // nodes without any candidate cut (and crash the cover extraction).
-    throw std::invalid_argument( "lut_map: cut_size must be at least 2" );
+    // Every merged cut of an AND node has >= 2 leaves, so k < 2 would leave
+    // nodes without a candidate cut; a cut function is one 64-bit word, so
+    // k is at most 6.
+    throw std::invalid_argument( "lut_map: cut_size must be in [2, 6], got " +
+                                 std::to_string( k ) );
+  }
+  if ( params.cuts_per_node == 0u )
+  {
+    throw std::invalid_argument( "lut_map: cuts_per_node must be at least 1" );
   }
   const auto fanouts = aig.fanout_counts();
 
-  // Per node: list of candidate cuts (first entry is the best).  Cut lists
-  // are freed once every fanout has consumed them (large designs would
-  // otherwise hold gigabytes of cuts); the best cut survives in
-  // `best_cuts` for the cover-extraction phase.
+  // Per node: list of candidate cuts (first entry is the best, the trivial
+  // cut last).  Cut lists are freed once every fanout has consumed them;
+  // the best cut survives in `best_cuts` for the cover-extraction phase.
   std::vector<std::vector<cut>> cuts( aig.num_nodes() );
   std::vector<cut> best_cuts( aig.num_nodes() );
   std::vector<std::uint32_t> pending_fanouts( fanouts );
@@ -106,77 +162,56 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
   std::vector<std::uint32_t> node_depth( aig.num_nodes(), 0u );
   std::vector<double> node_area_flow( aig.num_nodes(), 0.0 );
 
-  // Trivial cut for constant: none (handled by constant folding in the
-  // consumer; a LUT network keeps constants inside LUT functions).
+  // A constant fanin contributes the leafless constant-0 cut; constants
+  // stay inside LUT functions.
+  const std::vector<cut> constant_cuts( 1u );
   for ( std::uint32_t n = 1; n <= aig.num_pis(); ++n )
   {
-    cut c;
-    c.leaves = { n };
-    c.function = truth_table::projection( 1, 0 );
-    c.depth = 0;
-    c.area_flow = 0.0;
-    cuts[n].push_back( std::move( c ) );
+    cuts[n].push_back( unit_cut( n ) );
   }
 
+  std::vector<cut> candidates;
+  unsigned pos0[max_cut_size];
+  unsigned pos1[max_cut_size];
   for ( std::uint32_t n = aig.num_pis() + 1u; n < aig.num_nodes(); ++n )
   {
     const auto f0 = aig.fanin0( n );
     const auto f1 = aig.fanin1( n );
     const auto n0 = lit_node( f0 );
     const auto n1 = lit_node( f1 );
-    std::vector<cut> candidates;
+    const auto& cuts0 = n0 == 0u ? constant_cuts : cuts[n0];
+    const auto& cuts1 = n1 == 0u ? constant_cuts : cuts[n1];
+    const std::uint64_t invert0 = lit_complemented( f0 ) ? ~std::uint64_t{ 0 } : 0u;
+    const std::uint64_t invert1 = lit_complemented( f1 ) ? ~std::uint64_t{ 0 } : 0u;
 
-    const auto fanin_cuts = [&]( std::uint32_t m ) -> std::vector<cut> {
-      if ( m == 0u )
-      {
-        // Constant fanin: empty cut with constant function.
-        cut c;
-        c.function = truth_table( 0 );
-        return { c };
-      }
-      return cuts[m];
-    };
-
-    for ( const auto& c0 : fanin_cuts( n0 ) )
+    // Candidates in fanin0-outer, fanin1-inner order, duplicates kept.
+    candidates.clear();
+    for ( const auto& c0 : cuts0 )
     {
-      for ( const auto& c1 : fanin_cuts( n1 ) )
+      for ( const auto& c1 : cuts1 )
       {
-        std::vector<std::uint32_t> merged;
-        std::set_union( c0.leaves.begin(), c0.leaves.end(), c1.leaves.begin(), c1.leaves.end(),
-                        std::back_inserter( merged ) );
-        if ( merged.size() > k )
+        if ( static_cast<unsigned>( popcount64( c0.signature | c1.signature ) ) > k )
         {
           continue;
         }
         cut c;
-        c.leaves = std::move( merged );
-        auto t0 = expand_tt( c0.function, c0.leaves, c.leaves );
-        if ( lit_complemented( f0 ) )
+        if ( !merge_leaves( c0, c1, k, c, pos0, pos1 ) )
         {
-          t0 = ~t0;
+          continue;
         }
-        auto t1 = expand_tt( c1.function, c1.leaves, c.leaves );
-        if ( lit_complemented( f1 ) )
-        {
-          t1 = ~t1;
-        }
-        c.function = t0 & t1;
-        c.depth = 0;
+        c.signature = c0.signature | c1.signature;
+        c.function =
+            ( expand_function( c0, pos0 ) ^ invert0 ) & ( expand_function( c1, pos1 ) ^ invert1 );
         c.area_flow = 1.0;
-        for ( const auto leaf : c.leaves )
+        for ( unsigned i = 0; i < c.num_leaves; ++i )
         {
+          const auto leaf = c.leaves[i];
           c.depth = std::max( c.depth, node_depth[leaf] + 1u );
           c.area_flow += node_area_flow[leaf] / std::max( 1u, fanouts[leaf] );
         }
-        candidates.push_back( std::move( c ) );
+        candidates.push_back( c );
       }
     }
-    // The trivial cut (the node itself) is always available for fanouts.
-    cut trivial;
-    trivial.leaves = { n };
-    trivial.function = truth_table::projection( 1, 0 );
-    // Depth of the trivial cut is the node's mapped depth = best cut depth;
-    // fill in after sorting the real candidates.
     std::sort( candidates.begin(), candidates.end(), []( const cut& a, const cut& b ) {
       if ( a.depth != b.depth )
       {
@@ -186,22 +221,23 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
       {
         return a.area_flow < b.area_flow;
       }
-      return a.leaves.size() < b.leaves.size();
+      return a.num_leaves < b.num_leaves;
     } );
-    if ( candidates.size() > params.cuts_per_node )
-    {
-      candidates.resize( params.cuts_per_node );
-    }
     assert( !candidates.empty() );
-    trivial.depth = candidates.front().depth;
-    trivial.area_flow = candidates.front().area_flow;
-    best_cuts[n] = candidates.front();
-    node_depth[n] = candidates.front().depth;
-    node_area_flow[n] = candidates.front().area_flow;
-    candidates.push_back( std::move( trivial ) );
-    // Keep the best non-trivial cut first; the trivial cut participates in
-    // fanout merging only.
-    cuts[n] = std::move( candidates );
+    const auto kept = std::min<std::size_t>( candidates.size(), params.cuts_per_node );
+    const auto& best = candidates.front();
+    best_cuts[n] = best;
+    node_depth[n] = best.depth;
+    node_area_flow[n] = best.area_flow;
+    // The trivial cut (the node itself, costed as its best cut) takes part
+    // in fanout merging only.
+    auto trivial = unit_cut( n );
+    trivial.depth = best.depth;
+    trivial.area_flow = best.area_flow;
+    auto& list = cuts[n];
+    list.reserve( kept + 1u );
+    list.assign( candidates.begin(), candidates.begin() + static_cast<std::ptrdiff_t>( kept ) );
+    list.push_back( trivial );
     // Release fanin cut lists that are no longer needed.
     for ( const auto m : { n0, n1 } )
     {
@@ -230,10 +266,11 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
     assert( aig.is_and( n ) );
     const auto& best = best_cuts[n];
     lut_network::lut l;
-    l.function = best.function;
-    for ( const auto leaf : best.leaves )
+    l.function = cut_function( best );
+    l.fanins.reserve( best.num_leaves );
+    for ( unsigned i = 0; i < best.num_leaves; ++i )
     {
-      l.fanins.push_back( self( leaf, self ) );
+      l.fanins.push_back( self( best.leaves[i], self ) );
     }
     const auto signal = net.num_pis + static_cast<std::uint32_t>( net.luts.size() );
     net.luts.push_back( std::move( l ) );

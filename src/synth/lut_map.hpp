@@ -52,11 +52,17 @@ struct lut_network
 /// Parameters of the mapper.
 struct lut_map_params
 {
-  unsigned cut_size = 4;     ///< k
-  unsigned cuts_per_node = 8; ///< priority cut list length
+  /// Valid range of `cut_size`: an AND node's cuts have at least two
+  /// leaves, and a cut function is held in one 64-bit word.
+  static constexpr unsigned min_cut_size = 2u;
+  static constexpr unsigned max_cut_size = 6u;
+
+  unsigned cut_size = 4;     ///< k, in [min_cut_size, max_cut_size]
+  unsigned cuts_per_node = 8; ///< priority cut list length, at least 1
 };
 
-/// Maps an AIG into a k-LUT network.
+/// Maps an AIG into a k-LUT network.  Throws std::invalid_argument when
+/// `cut_size` is outside [2, 6] or `cuts_per_node` is 0.
 lut_network lut_map( const aig_network& aig, const lut_map_params& params = {} );
 
 } // namespace qsyn

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -515,4 +516,52 @@ TEST( daemon, connection_cap_rejects_with_busy )
   EXPECT_TRUE( contains( ok, "pong" ) ) << ok;
   EXPECT_GE( daemon.stats().rejected, 1u );
   daemon.stop();
+}
+
+TEST( daemon, out_of_range_cut_size_is_rejected_before_synthesis )
+{
+  synthesis_daemon daemon( {} );
+  for ( const std::string k : { "7", "40" } )
+  {
+    const auto response = daemon.handle_request(
+        R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"hierarchical","cut_size":)" +
+        k + "}" );
+    EXPECT_TRUE( contains( response, "\"ok\":false" ) ) << response;
+    EXPECT_TRUE( contains( response, "cut_size must be in [2, 6]" ) ) << response;
+  }
+  EXPECT_EQ( daemon.stats().synthesized, 0u );
+  EXPECT_EQ( daemon.stats().errors, 2u );
+}
+
+TEST( daemon, stop_returns_while_an_idle_client_stays_connected )
+{
+  temp_dir dir;
+  store::daemon_options options;
+  options.socket_path = dir.path + "/d.sock";
+  synthesis_daemon daemon( options );
+  daemon.start();
+
+  // An idle client: connected and served once, then silent.  Its
+  // connection thread sits in recv() when stop() runs.
+  const int idle = ::socket( AF_UNIX, SOCK_STREAM, 0 );
+  ASSERT_GE( idle, 0 );
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy( addr.sun_path, options.socket_path.c_str(), sizeof( addr.sun_path ) - 1 );
+  ASSERT_EQ( ::connect( idle, reinterpret_cast<const sockaddr*>( &addr ), sizeof( addr ) ), 0 );
+  const std::string ping = "{\"cmd\":\"ping\"}\n";
+  ASSERT_EQ( ::send( idle, ping.data(), ping.size(), MSG_NOSIGNAL ),
+             static_cast<ssize_t>( ping.size() ) );
+  char chunk[4096];
+  ASSERT_GT( ::recv( idle, chunk, sizeof chunk, 0 ), 0 );
+
+  // Watchdog: stop() runs on its own thread so a hang fails the test
+  // instead of stalling the suite; closing the idle client afterwards
+  // lets a stuck stop() finish.
+  auto stopped = std::async( std::launch::async, [&daemon] { daemon.stop(); } );
+  const auto status = stopped.wait_for( std::chrono::seconds( 2 ) );
+  EXPECT_EQ( status, std::future_status::ready ) << "stop() hangs on an idle connection";
+  ::close( idle );
+  stopped.wait();
+  EXPECT_FALSE( std::filesystem::exists( options.socket_path ) );
 }

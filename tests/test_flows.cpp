@@ -359,8 +359,12 @@ TEST( flows, cut_size_below_two_is_rejected )
       verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 4 ) );
   flow_params params;
   params.kind = flow_kind::hierarchical;
-  params.cut_size = 1;
-  EXPECT_THROW( run_flow_on_aig( mod.aig, params ), std::invalid_argument );
+  // Outside [2, 6] on both sides: a cut function is one 64-bit word.
+  for ( const unsigned k : { 0u, 1u, 7u } )
+  {
+    params.cut_size = k;
+    EXPECT_THROW( run_flow_on_aig( mod.aig, params ), std::invalid_argument ) << "k=" << k;
+  }
 }
 
 TEST( flows, cache_rejects_same_size_different_function_design )

@@ -104,6 +104,22 @@ TEST( lut_map, cut_size_limits_fanins )
   }
 }
 
+TEST( lut_map, rejects_out_of_range_parameters )
+{
+  const auto aig = random_aig( 6, 20, 3 );
+  for ( const unsigned k : { 0u, 1u, 7u, 40u } )
+  {
+    lut_map_params params;
+    params.cut_size = k;
+    EXPECT_THROW( lut_map( aig, params ), std::invalid_argument ) << "k=" << k;
+  }
+  lut_map_params params;
+  params.cuts_per_node = 0;
+  EXPECT_THROW( lut_map( aig, params ), std::invalid_argument );
+  params.cuts_per_node = 1;
+  EXPECT_TRUE( networks_equal_by_simulation( aig, lut_map( aig, params ) ) );
+}
+
 TEST( lut_map, constant_and_pi_outputs )
 {
   aig_network aig( 2 );

@@ -3,6 +3,7 @@
 #include "reversible/circuit.hpp"
 #include "reversible/cost.hpp"
 #include "reversible/verify.hpp"
+#include "rsynth/esop_synth.hpp"
 
 using namespace qsyn;
 
@@ -231,4 +232,137 @@ TEST( report, cost_report_fields )
   EXPECT_EQ( rep.toffoli_gates, 1u );
   EXPECT_EQ( rep.t_count, 7u );
   EXPECT_EQ( rep.depth, 2u );
+}
+
+// --- control lists -----------------------------------------------------------
+//
+// Up to two controls live inside the gate; more go to the heap.  The sizes
+// 0, 1, 2 (inline), 3 (first spill) and 14 (several regrowths) cover both
+// storages and the transition between them.
+
+namespace
+{
+
+control_list make_controls( unsigned count )
+{
+  control_list list;
+  for ( unsigned i = 0; i < count; ++i )
+  {
+    list.push_back( { i, ( i % 3u ) != 1u } );
+  }
+  return list;
+}
+
+void expect_controls( const control_list& list, unsigned count )
+{
+  ASSERT_EQ( list.size(), count );
+  EXPECT_EQ( list.empty(), count == 0u );
+  for ( unsigned i = 0; i < count; ++i )
+  {
+    EXPECT_EQ( list[i].line, i );
+    EXPECT_EQ( list[i].positive, ( i % 3u ) != 1u );
+  }
+}
+
+} // namespace
+
+class control_list_sizes : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P( control_list_sizes, push_back_copy_move_and_compare )
+{
+  const auto n = GetParam();
+  const auto list = make_controls( n );
+  expect_controls( list, n );
+  EXPECT_EQ( static_cast<std::size_t>( list.end() - list.begin() ), list.size() );
+
+  control_list copy( list );
+  expect_controls( copy, n );
+  EXPECT_EQ( copy, list );
+  copy.push_back( { 99u, true } );
+  EXPECT_FALSE( copy == list );
+  expect_controls( list, n ); // the source is untouched
+
+  control_list assigned = make_controls( 14u - n );
+  assigned = list;
+  EXPECT_EQ( assigned, list );
+  const auto& alias = assigned;
+  assigned = alias;
+  EXPECT_EQ( assigned, list );
+
+  control_list moved( std::move( assigned ) );
+  expect_controls( moved, n );
+  control_list move_assigned = make_controls( 3u );
+  move_assigned = std::move( moved );
+  expect_controls( move_assigned, n );
+
+  // push_back of an element of the list itself survives a regrowth.
+  if ( n > 0u )
+  {
+    auto grown = list;
+    grown.push_back( grown[0] );
+    ASSERT_EQ( grown.size(), n + 1u );
+    EXPECT_EQ( grown[n], list[0] );
+  }
+
+  // Erase the middle with remove_if, as esop_synth's factoring does.
+  auto erased = list;
+  erased.erase( std::remove_if( erased.begin(), erased.end(),
+                                []( const control& c ) { return c.line % 2u == 1u; } ),
+                erased.end() );
+  ASSERT_EQ( erased.size(), ( n + 1u ) / 2u );
+  for ( std::size_t i = 0; i < erased.size(); ++i )
+  {
+    EXPECT_EQ( erased[i].line, 2u * i );
+  }
+  erased.clear();
+  EXPECT_TRUE( erased.empty() );
+  erased.push_back( { 5u, false } );
+  EXPECT_EQ( erased.size(), 1u );
+
+  // Gates carrying the list simulate the same in a circuit.
+  reversible_circuit c( 15 );
+  c.add_mct( list, 14 );
+  std::vector<bool> state( 15, false );
+  for ( unsigned i = 0; i < n; ++i )
+  {
+    state[i] = list[i].positive;
+  }
+  c.apply( state );
+  EXPECT_TRUE( state[14] );
+  EXPECT_EQ( c.num_toffoli_gates(), n >= 2u ? 1u : 0u );
+}
+
+INSTANTIATE_TEST_SUITE_P( inline_heap_boundary, control_list_sizes,
+                          ::testing::Values( 0u, 1u, 2u, 3u, 14u ) );
+
+TEST( esop_synth, factoring_rewrites_wide_control_lists )
+{
+  // 14-literal cubes sharing pairs: factoring rounds erase pairs from
+  // heap-held control lists and append the ancilla control.
+  esop e;
+  e.num_inputs = 14;
+  e.num_outputs = 2;
+  for ( unsigned t = 0; t < 6u; ++t )
+  {
+    cube c;
+    for ( unsigned v = 0; v < 14u; ++v )
+    {
+      if ( v != t + 4u )
+      {
+        c.add_literal( v, ( v + t ) % 4u != 0u );
+      }
+    }
+    e.terms.push_back( { c, t % 2u == 0u ? 1u : 3u } );
+  }
+  esop_synth_stats stats;
+  const auto circuit = esop_synthesize( e, { 3, 2 }, &stats );
+  EXPECT_GE( stats.factored_pairs, 1u );
+  std::vector<truth_table> specs;
+  for ( unsigned o = 0; o < e.num_outputs; ++o )
+  {
+    specs.push_back( e.output_truth_table( o ) );
+  }
+  EXPECT_TRUE( verify_against_truth_tables( circuit, specs ) );
 }

@@ -160,6 +160,30 @@ TEST( store_serialize, circuit_round_trip_preserves_gates_and_costs )
   EXPECT_EQ( costs.depth, result.costs.depth );
 }
 
+TEST( store_serialize, circuit_round_trip_across_control_list_storage )
+{
+  // Gates with 0, 1, 2 (inline) and 3, 14 (heap) controls of both
+  // polarities survive serialization unchanged.
+  reversible_circuit circuit( 16 );
+  for ( const unsigned count : { 0u, 1u, 2u, 3u, 14u } )
+  {
+    control_list controls;
+    for ( unsigned i = 0; i < count; ++i )
+    {
+      controls.push_back( { i, ( i + count ) % 2u == 0u } );
+    }
+    circuit.add_mct( controls, 15u - ( count % 2u ) );
+  }
+  const auto restored = store::deserialize_circuit( store::serialize_circuit( circuit ) );
+  ASSERT_EQ( restored.num_gates(), circuit.num_gates() );
+  for ( std::size_t g = 0; g < circuit.num_gates(); ++g )
+  {
+    EXPECT_EQ( restored.gates()[g].target, circuit.gates()[g].target );
+    EXPECT_EQ( restored.gates()[g].controls, circuit.gates()[g].controls ) << "gate " << g;
+  }
+  EXPECT_EQ( store::serialize_circuit( restored ), store::serialize_circuit( circuit ) );
+}
+
 TEST( store_serialize, readers_reject_malformed_payloads )
 {
   // Truncation anywhere must throw, never read out of bounds.

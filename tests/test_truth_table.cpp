@@ -317,3 +317,108 @@ TEST_P( truth_table_sizes, double_cofactor_idempotent )
 }
 
 INSTANTIATE_TEST_SUITE_P( sizes, truth_table_sizes, ::testing::Values( 1u, 2u, 5u, 6u, 7u, 9u ) );
+
+// --- block storage boundary --------------------------------------------------
+//
+// Tables of up to 8 variables keep their blocks inline; 9 and more go to the
+// heap.  Every copy/move/compare path is exercised on both sides.
+
+namespace
+{
+
+truth_table patterned_table( unsigned num_vars, std::uint64_t seed )
+{
+  return truth_table::from_function( num_vars, [seed]( std::uint64_t i ) {
+    return ( ( ( i * 0x9e3779b97f4a7c15ull ) ^ seed ) >> 29 ) & 1u;
+  } );
+}
+
+} // namespace
+
+class truth_table_storage : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P( truth_table_storage, copy_move_compare_and_hash )
+{
+  const auto n = GetParam();
+  const auto original = patterned_table( n, 7u );
+  ASSERT_EQ( original.blocks().size(), num_blocks_for( n ) );
+
+  truth_table copy( original );
+  EXPECT_EQ( copy, original );
+  EXPECT_EQ( copy.hash(), original.hash() );
+  // The copy owns its blocks.
+  copy.set_bit( 5, !copy.get_bit( 5 ) );
+  EXPECT_NE( copy, original );
+  EXPECT_NE( copy.hash(), original.hash() );
+
+  truth_table assigned( 3 );
+  assigned = original;
+  EXPECT_EQ( assigned, original );
+  const auto& alias = assigned;
+  assigned = alias; // self-assignment keeps the contents
+  EXPECT_EQ( assigned, original );
+
+  truth_table moved( std::move( assigned ) );
+  EXPECT_EQ( moved, original );
+  truth_table move_assigned( 10 );
+  move_assigned = std::move( moved );
+  EXPECT_EQ( move_assigned, original );
+  EXPECT_EQ( move_assigned.count_ones(), original.count_ones() );
+
+  // Assignment across the boundary in both directions.
+  truth_table other = patterned_table( n == 8u ? 9u : 8u, 3u );
+  other = original;
+  EXPECT_EQ( other, original );
+  truth_table small = patterned_table( 2u, 1u );
+  small = original;
+  EXPECT_EQ( small, original );
+  small = patterned_table( 2u, 1u );
+  EXPECT_EQ( small, patterned_table( 2u, 1u ) );
+
+  // Equal bits at different sizes are different tables.
+  EXPECT_NE( truth_table( 8 ), truth_table( 9 ) );
+  EXPECT_NE( truth_table( 8 ).hash(), truth_table( 9 ).hash() );
+}
+
+INSTANTIATE_TEST_SUITE_P( inline_heap_boundary, truth_table_storage, ::testing::Values( 8u, 9u ) );
+
+TEST( truth_table, shrink_to_support_crosses_from_heap_to_inline )
+{
+  // f over 10 variables depending only on variables {1, 4, 6, 9}: the
+  // table shrinks from 16 heap blocks to one inline block.
+  const std::vector<unsigned> used = { 1u, 4u, 6u, 9u };
+  const auto f = truth_table::from_function( 10, [&]( std::uint64_t i ) {
+    return ( ( ( i >> 1 ) & 1u ) & ( ( i >> 4 ) & 1u ) ) ^ ( ( ( i >> 6 ) | ( i >> 9 ) ) & 1u );
+  } );
+  std::vector<unsigned> var_map;
+  const auto shrunk = f.shrink_to_support( &var_map );
+  EXPECT_EQ( var_map, used );
+  ASSERT_EQ( shrunk.num_vars(), 4u );
+  EXPECT_EQ( shrunk.blocks().size(), 1u );
+  for ( std::uint64_t j = 0; j < 16u; ++j )
+  {
+    std::uint64_t i = 0;
+    for ( unsigned v = 0; v < 4u; ++v )
+    {
+      i |= ( ( j >> v ) & 1u ) << used[v];
+    }
+    EXPECT_EQ( shrunk.get_bit( j ), f.get_bit( i ) ) << j;
+  }
+
+  // 10 -> 8 variables lands exactly on the inline capacity.
+  const auto g = truth_table::from_function( 10, []( std::uint64_t i ) {
+    return ( ( i & 0xffu ) * 0x2545f491u >> 11 ) & 1u;
+  } );
+  const auto g8 = g.shrink_to_support();
+  ASSERT_EQ( g8.num_vars(), 8u );
+  EXPECT_EQ( g8.blocks().size(), 4u );
+  for ( std::uint64_t i = 0; i < 256u; ++i )
+  {
+    EXPECT_EQ( g8.get_bit( i ), g.get_bit( i ) ) << i;
+  }
+  truth_table copy = g8;
+  EXPECT_EQ( copy, g8 );
+  EXPECT_EQ( copy.hash(), g8.hash() );
+}

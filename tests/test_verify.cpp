@@ -55,7 +55,7 @@ reversible_circuit random_circuit( std::mt19937_64& rng, unsigned num_lines, uns
   for ( unsigned g = 0; g < num_gates; ++g )
   {
     const auto target = static_cast<std::uint32_t>( rng() % num_lines );
-    std::vector<control> controls;
+    control_list controls;
     for ( std::uint32_t l = 0; l < num_lines; ++l )
     {
       if ( l != target && ( rng() & 3u ) == 0u )
