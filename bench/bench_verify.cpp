@@ -1,13 +1,13 @@
 /// \file bench_verify.cpp
 /// \brief Benchmark of the verification engine: the scalar seed path (one
-/// `std::vector<bool>` assignment at a time) against the 64-way
-/// bit-parallel block engine, plus the SAT tier, on exhaustive
-/// verification of the INTDIV/NEWTON designs.
+/// `std::vector<bool>` assignment at a time) against the bit-parallel wide
+/// engine, plus the SAT tier, on exhaustive verification of the
+/// INTDIV/NEWTON designs.
 ///
 /// For every (design, bitwidth, flow) case the benchmark runs exhaustive
-/// circuit-vs-AIG verification three ways — scalar enumeration, block
-/// enumeration (`verify_against_aig_exhaustive_block64`, the retained
-/// 64-bit oracle), and the SAT tier — and times the SAT tier itself three
+/// circuit-vs-AIG verification three ways — scalar enumeration, the wide
+/// engine at its 64-lane width (`w64_ms`, one 64-bit word per line), and
+/// the SAT tier — and times the SAT tier itself three
 /// ways: the monolithic one-miter-per-call reference engine
 /// (`sat::check_equivalence`, the PR 3 path), the incremental
 /// structurally-hashed engine on a fresh instance (`sat::incremental_cec`,
@@ -15,24 +15,30 @@
 /// persistent engine (what every further configuration of a sweep costs).
 /// All tiers and both SAT engines must accept the correct circuit and
 /// reject a deliberately corrupted copy with a *real* counterexample, and
-/// the scalar and block counterexamples must be bit-identical.
+/// the scalar and wide counterexamples must be bit-identical.
 ///
-/// Schema v3 adds the SIMD-wide engine: per case it times the wide
-/// single-candidate pass (`wide_ms`, informational) and the frontier batch
-/// — K same-shape sweep candidates verified sequentially by the 64-bit
-/// oracle vs one `verify_batch_against_aig_exhaustive_budgeted` pass that
-/// walks the spec AIG once per lane group for the whole frontier
-/// (`frontier_speedup`, the ≥4x metric scripts/run_bench.sh gates on).
-/// Every case also replays a mixed pass/fail frontier at widths
-/// 64/256/512 and requires reports bit-identical to the per-candidate
-/// 64-bit oracle (`widths_agree`), and records the corrupted-circuit
-/// counterexample as a bit string (`cex`) so run_bench.sh can diff
-/// verdicts between the AVX and portable builds.
+/// Per case it also times the wide engine at the width the DSE exhaustive
+/// tier picks (`wide_ms`, informational), its sustained per-word cost at
+/// w512 against the same engine at w64 (`width_speedup`, the >= 4x metric
+/// scripts/run_bench.sh gates on), and the frontier batch — K same-shape
+/// sweep candidates verified by K single wide calls vs one
+/// `verify_batch_against_aig_exhaustive_budgeted` pass that walks the spec
+/// AIG once per lane group for the whole frontier (`frontier_speedup`).
+/// Every case replays a mixed pass/fail frontier at widths 64/256/512 and
+/// requires reports bit-identical to the scalar enumeration's
+/// (`widths_agree`), and records the corrupted-circuit counterexample as a
+/// bit string (`cex`) so run_bench.sh can diff verdicts between the AVX
+/// and portable builds.
+///
+/// Schema v4 re-pins the simulation metrics on the one remaining engine:
+/// `w64_ms`, `w64_word_us` and `frontier_single_ms` replace the fields
+/// that timed the deleted 64-bit block simulator (`block_ms` and its
+/// per-word and frontier counterparts).
 ///
 /// It writes BENCH_verify.json (see docs/ARCHITECTURE.md) with per-case
-/// wall clocks and the block-vs-scalar / incremental-vs-monolithic /
-/// frontier-batch speedups so every future PR can extend the perf
-/// trajectory (scripts/run_bench.sh gates on it).
+/// wall clocks and the w64-vs-scalar / incremental-vs-monolithic /
+/// w512-vs-w64 / frontier-batch speedups so every future PR can extend the
+/// perf trajectory (scripts/run_bench.sh gates on it).
 ///
 /// Usage: bench_verify [--out FILE] [--quick] [--sim-only]
 ///   --sim-only skips the SAT tier entirely (timings and verdicts); it is
@@ -62,7 +68,7 @@ using namespace qsyn;
 
 /// The seed's scalar exhaustive check: one heap-allocated assignment and
 /// one full AIG + circuit evaluation per input vector.  Kept here as the
-/// reference the block engine is measured (and bit-compared) against.
+/// reference the wide engine is measured (and bit-compared) against.
 std::optional<std::vector<bool>> scalar_exhaustive( const reversible_circuit& circuit,
                                                     const aig_network& aig )
 {
@@ -82,12 +88,12 @@ std::optional<std::vector<bool>> scalar_exhaustive( const reversible_circuit& ci
   return std::nullopt;
 }
 
-/// Runs `fn` repeatedly until ~0.5 s of wall clock accumulates (at least
-/// once) and returns the average milliseconds per run.  The accumulation
-/// window keeps the sub-millisecond block timings stable enough for the
+/// Runs `fn` repeatedly until `window_s` of wall clock accumulates (at
+/// least once) and returns the average milliseconds per run.  The default
+/// 0.5 s window keeps the sub-millisecond timings stable enough for the
 /// regression gate in scripts/run_bench.sh.
 template<typename Fn>
-double time_ms( Fn&& fn )
+double time_ms( Fn&& fn, double window_s = 0.5 )
 {
   stopwatch watch;
   unsigned reps = 0;
@@ -97,9 +103,17 @@ double time_ms( Fn&& fn )
     fn();
     ++reps;
     elapsed = watch.elapsed_seconds();
-  } while ( elapsed < 0.5 && reps < 100000u );
+  } while ( elapsed < window_s && reps < 100000u );
   return elapsed * 1000.0 / reps;
 }
+
+/// Interleaved rounds of the per-word throughput measurement and the
+/// window of each timed side.  A transient load spike during one side's
+/// window would otherwise skew the ratio; the min over alternating rounds
+/// is each width's unperturbed cost.  On a shared 4-core VM best-of-25
+/// held the per-case minimum at 4.3-4.8x over six runs.
+constexpr int width_rounds = 25;
+constexpr double width_window_s = 0.1;
 
 /// Number of same-shape candidates in the timed frontier batch — the
 /// size of a typical DSE sweep frontier sharing one spec AIG.
@@ -112,16 +126,16 @@ struct case_result
   unsigned lines = 0;
   std::size_t gates = 0;
   double scalar_ms = 0.0;
-  double block_ms = 0.0;
-  double speedup = 0.0;      ///< block vs scalar
+  double w64_ms = 0.0;       ///< wide engine at w64, single candidate
+  double speedup = 0.0;      ///< w64 vs scalar
   double wide_ms = 0.0;      ///< wide single-candidate pass at the DSE default width
-  double wide_speedup = 0.0; ///< block64 vs wide, single candidate
-  double block64_word_us = 0.0; ///< sustained 64-bit oracle cost per 64-assignment word
-  double wide_word_us = 0.0;    ///< sustained w512 engine cost per word
-  double width_speedup = 0.0;   ///< per-word throughput, wide vs 64-bit (the >=4x gate)
-  double frontier_block64_ms = 0.0; ///< K sequential 64-bit oracle passes
+  double wide_speedup = 0.0; ///< w64 vs the DSE default width, single candidate
+  double w64_word_us = 0.0;  ///< sustained w64 cost per 64-assignment word
+  double wide_word_us = 0.0; ///< sustained w512 cost per word
+  double width_speedup = 0.0;       ///< per-word throughput, w512 vs w64 (the >=4x gate)
+  double frontier_single_ms = 0.0;  ///< K single wide calls, one per candidate
   double frontier_wide_ms = 0.0;    ///< one batched wide pass over the K candidates
-  double frontier_speedup = 0.0;    ///< the gated wide-vs-64-bit metric
+  double frontier_speedup = 0.0;    ///< single calls vs the batch
   std::string simd_backend;  ///< kernel backend active at the case's width
   std::string cex;           ///< corrupted-circuit counterexample, bit i = input i
   double sat_mono_ms = 0.0;  ///< monolithic reference (sat::check_equivalence)
@@ -129,10 +143,10 @@ struct case_result
   double sat_warm_ms = 0.0;  ///< incremental engine, warm re-check (sweep reuse)
   double sat_speedup = 0.0;  ///< monolithic vs cold incremental
   bool tiers_agree = true;      ///< all tiers accept the correct circuit,
-                                ///< scalar == block bit-for-bit
+                                ///< scalar == wide bit-for-bit
   bool corrupt_rejected = true; ///< all tiers reject the corrupted circuit
   bool widths_agree = true;     ///< batch reports at w64/w256/w512 bit-identical
-                                ///< to the per-candidate 64-bit oracle
+                                ///< to the per-candidate scalar enumeration
 };
 
 std::string cex_string( const std::optional<std::vector<bool>>& cex )
@@ -148,6 +162,48 @@ std::string cex_string( const std::optional<std::vector<bool>>& cex )
     s.push_back( bit ? '1' : '0' );
   }
   return s;
+}
+
+/// One width's persistent engines for the per-word throughput
+/// measurement: each call simulates one lane group of the spec and the
+/// circuit, the inner step of an exhaustive pass.
+struct word_pass
+{
+  wide_simulator sim;
+  wide_aig_simulator spec;
+  std::vector<std::uint64_t> words;
+
+  word_pass( const reversible_circuit& circuit, const aig_network& aig, sim_width width )
+      : sim( circuit, width ), spec( aig, width ),
+        words( std::size_t{ aig.num_pis() } * words_of( width ), 0u )
+  {
+  }
+
+  std::uint64_t operator()()
+  {
+    const auto& spec_out = spec.evaluate( words );
+    const auto& out = sim.evaluate( words );
+    return out.front() + spec_out.front();
+  }
+};
+
+/// `scalar_exhaustive` as a coverage-accounted report: the independent
+/// oracle of the wide engine's per-width reports.
+partial_verify_report scalar_report( const reversible_circuit& circuit, const aig_network& aig )
+{
+  partial_verify_report report;
+  report.assignments_requested = std::uint64_t{ 1 } << aig.num_pis();
+  report.counterexample = scalar_exhaustive( circuit, aig );
+  report.assignments_completed = report.assignments_requested;
+  if ( report.counterexample )
+  {
+    report.assignments_completed = 1u;
+    for ( unsigned i = 0; i < aig.num_pis(); ++i )
+    {
+      report.assignments_completed += std::uint64_t{ ( *report.counterexample )[i] } << i;
+    }
+  }
+  return report;
 }
 
 bool reports_equal( const partial_verify_report& a, const partial_verify_report& b )
@@ -176,7 +232,7 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
 
   // --- correct circuit: every tier must accept -------------------------------
   const auto scalar_cex = scalar_exhaustive( circuit, spec );
-  const auto block_cex = verify_against_aig_exhaustive( circuit, spec );
+  const auto wide_cex = verify_against_aig_exhaustive( circuit, spec );
 
   // SAT tier, three ways, all timed on the same precomputed impl AIG so
   // the gated speedup compares the engines alone (circuit_to_aig
@@ -203,12 +259,13 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     r.sat_warm_ms = time_ms( [&] { warm_ok = warm_engine.check( spec, impl ).equivalent; } );
     r.sat_speedup = r.sat_ms > 0.0 ? r.sat_mono_ms / r.sat_ms : 0.0;
   }
-  r.tiers_agree = !scalar_cex && !block_cex && cold_ok && mono_ok && warm_ok;
+  r.tiers_agree = !scalar_cex && !wide_cex && cold_ok && mono_ok && warm_ok;
 
   r.scalar_ms = time_ms( [&] { (void)scalar_exhaustive( circuit, spec ); } );
-  r.block_ms =
-      time_ms( [&] { (void)verify_against_aig_exhaustive_block64( circuit, spec, deadline{} ); } );
-  r.speedup = r.block_ms > 0.0 ? r.scalar_ms / r.block_ms : 0.0;
+  r.w64_ms = time_ms( [&] {
+    (void)verify_against_aig_exhaustive_budgeted( circuit, spec, deadline{}, sim_width::w64 );
+  } );
+  r.speedup = r.w64_ms > 0.0 ? r.scalar_ms / r.w64_ms : 0.0;
 
   // --- the SIMD-wide engine and the frontier batch ---------------------------
   // Width as the DSE exhaustive tier picks it for this input space; w64
@@ -218,73 +275,56 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   r.simd_backend = simd_backend_name( active_simd_backend( width ) );
   r.wide_ms = time_ms(
       [&] { (void)verify_against_aig_exhaustive_budgeted( circuit, spec, deadline{}, width ); } );
-  r.wide_speedup = r.wide_ms > 0.0 ? r.block_ms / r.wide_ms : 0.0;
+  r.wide_speedup = r.wide_ms > 0.0 ? r.w64_ms / r.wide_ms : 0.0;
 
-  // Sustained per-word verification throughput, the gated wide-vs-64-bit
-  // metric: persistent engines (construction amortized away, as in a long
-  // sweep), spec walk included on both sides, cost divided by the words a
-  // pass settles.  The 64-bit side is the retained oracle's inner loop
-  // (block_simulator + aig_network::simulate_patterns per word); the wide
-  // side runs the w512 lane group.  Per-word is the width-scaling measure:
-  // at n=7 a 512-lane group wraps the 128-assignment space, so whole-case
-  // wall clocks (wide_ms, frontier_wide_ms) can gain at most 2x there —
-  // the full-width gain materializes whenever a group is filled (n >= 9
-  // spaces, sampled tiers, fraig signatures).
+  // Sustained per-word verification throughput, the gated width-scaling
+  // metric: the same engine at w512 vs w64, persistent engines
+  // (construction amortized away, as in a long sweep), spec walk included
+  // on both sides, cost divided by the words a pass settles.  Per-word is
+  // the width-scaling measure: at n=7 a 512-lane group wraps the
+  // 128-assignment space, so whole-case wall clocks (wide_ms,
+  // frontier_wide_ms) can gain at most 2x there — the full-width gain
+  // materializes whenever a group is filled (n >= 9 spaces, sampled tiers,
+  // fraig signatures).
   {
-    block_simulator narrow( circuit );
-    std::vector<std::uint64_t> narrow_words( r.pis, 0u );
     volatile std::uint64_t sink = 0;
-    const auto wide_width = sim_width::w512;
-    const auto wide_words_per_group = words_of( wide_width );
-    wide_simulator wide( circuit, wide_width );
-    wide_aig_simulator wide_spec( spec, wide_width );
-    std::vector<std::uint64_t> group_words( std::size_t{ r.pis } * wide_words_per_group, 0u );
-    // Interleaved best-of-5: a transient load spike during one side's
-    // window would otherwise skew the ratio; the min of alternating
-    // rounds is each engine's unperturbed cost.
+    word_pass narrow( circuit, spec, sim_width::w64 );
+    word_pass group( circuit, spec, sim_width::w512 );
     auto narrow_ms = std::numeric_limits<double>::infinity();
     auto group_ms = std::numeric_limits<double>::infinity();
-    for ( int round = 0; round < 5; ++round )
+    for ( int round = 0; round < width_rounds; ++round )
     {
-      narrow_ms = std::min( narrow_ms, time_ms( [&] {
-                    const auto& spec_out = spec.simulate_patterns( narrow_words );
-                    const auto& out = narrow.evaluate( narrow_words );
-                    sink = sink + out.front() + spec_out.front();
-                  } ) );
-      group_ms = std::min( group_ms, time_ms( [&] {
-                   const auto& spec_out = wide_spec.evaluate( group_words );
-                   const auto& out = wide.evaluate( group_words );
-                   sink = sink + out.front() + spec_out.front();
-                 } ) );
+      narrow_ms = std::min( narrow_ms, time_ms( [&] { sink = sink + narrow(); }, width_window_s ) );
+      group_ms = std::min( group_ms, time_ms( [&] { sink = sink + group(); }, width_window_s ) );
     }
-    r.block64_word_us = narrow_ms * 1000.0;
-    r.wide_word_us = group_ms * 1000.0 / static_cast<double>( wide_words_per_group );
-    r.width_speedup = r.wide_word_us > 0.0 ? r.block64_word_us / r.wide_word_us : 0.0;
+    r.w64_word_us = narrow_ms * 1000.0;
+    r.wide_word_us = group_ms * 1000.0 / static_cast<double>( words_of( sim_width::w512 ) );
+    r.width_speedup = r.wide_word_us > 0.0 ? r.w64_word_us / r.wide_word_us : 0.0;
   }
 
-  // Frontier batch: K same-shape candidates against one spec — the serial
-  // sweep pays K full oracle passes (each re-simulating the spec AIG per
-  // 64-block), the batch walks the spec once per lane group.
+  // Frontier batch: K same-shape candidates against one spec — K single
+  // calls each re-simulate the spec AIG per lane group, the batch walks the
+  // spec once per lane group for the whole frontier.
   const std::vector<const reversible_circuit*> frontier( frontier_k, &circuit );
-  r.frontier_block64_ms = time_ms( [&] {
+  r.frontier_single_ms = time_ms( [&] {
     for ( const auto* candidate : frontier )
     {
-      (void)verify_against_aig_exhaustive_block64( *candidate, spec, deadline{} );
+      (void)verify_against_aig_exhaustive_budgeted( *candidate, spec, deadline{}, width );
     }
   } );
   r.frontier_wide_ms = time_ms(
       [&] { (void)verify_batch_against_aig_exhaustive_budgeted( frontier, spec, deadline{}, width ); } );
   r.frontier_speedup =
-      r.frontier_wide_ms > 0.0 ? r.frontier_block64_ms / r.frontier_wide_ms : 0.0;
+      r.frontier_wide_ms > 0.0 ? r.frontier_single_ms / r.frontier_wide_ms : 0.0;
 
-  // --- corrupted circuit: every tier must reject, scalar == block ------------
+  // --- corrupted circuit: every tier must reject, scalar == wide -------------
   const auto corrupted = corrupt_circuit( circuit, spec );
   const auto scalar_bad = scalar_exhaustive( corrupted, spec );
-  const auto block_bad = verify_against_aig_exhaustive( corrupted, spec );
-  r.corrupt_rejected = scalar_bad.has_value() && block_bad.has_value();
-  // Scalar and block enumerate in the same order: identical counterexample.
-  r.tiers_agree = r.tiers_agree && scalar_bad == block_bad;
-  r.cex = cex_string( block_bad );
+  const auto wide_bad = verify_against_aig_exhaustive( corrupted, spec );
+  r.corrupt_rejected = scalar_bad.has_value() && wide_bad.has_value();
+  // Scalar and wide enumerate in the same order: identical counterexample.
+  r.tiers_agree = r.tiers_agree && scalar_bad == wide_bad;
+  r.cex = cex_string( wide_bad );
   if ( !sim_only )
   {
     const auto sat_bad = verify_against_aig_sat( corrupted, spec );
@@ -308,7 +348,7 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   // Candidates failing at different columns (the NOT flips every column,
   // the 3-control MCT only fires from column 7 on) pin the
   // first-counterexample contract, the early-retire bookkeeping and the
-  // per-assignment accounting against the 64-bit oracle at every width.
+  // per-assignment accounting against the scalar enumeration at every width.
   auto flip_first = circuit;
   flip_first.add_not( output_lines_of( circuit ).front() );
   auto flip_late = circuit;
@@ -332,7 +372,7 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   oracle.reserve( mixed.size() );
   for ( const auto* candidate : mixed )
   {
-    oracle.push_back( verify_against_aig_exhaustive_block64( *candidate, spec, deadline{} ) );
+    oracle.push_back( scalar_report( *candidate, spec ) );
   }
   for ( const auto w : { sim_width::w64, sim_width::w256, sim_width::w512 } )
   {
@@ -343,13 +383,13 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     }
   }
 
-  std::printf( "%-16s pis %2u  gates %6zu | scalar %9.3f ms | block %8.4f ms (%6.1fx) | "
+  std::printf( "%-16s pis %2u  gates %6zu | scalar %9.3f ms | w64 %8.4f ms (%6.1fx) | "
                "word %8.3f -> %7.3f us (%4.1fx, %s) | wide %8.4f ms (%4.1fx) | "
                "frontier x%zu %8.4f -> %8.4f ms (%4.1fx) | "
                "sat mono %8.2f ms  inc %7.2f ms (%5.1fx)  warm %7.3f ms | %s%s%s\n",
-               r.name.c_str(), r.pis, r.gates, r.scalar_ms, r.block_ms, r.speedup,
-               r.block64_word_us, r.wide_word_us, r.width_speedup, r.simd_backend.c_str(),
-               r.wide_ms, r.wide_speedup, frontier_k, r.frontier_block64_ms, r.frontier_wide_ms,
+               r.name.c_str(), r.pis, r.gates, r.scalar_ms, r.w64_ms, r.speedup,
+               r.w64_word_us, r.wide_word_us, r.width_speedup, r.simd_backend.c_str(),
+               r.wide_ms, r.wide_speedup, frontier_k, r.frontier_single_ms, r.frontier_wide_ms,
                r.frontier_speedup, r.sat_mono_ms, r.sat_ms, r.sat_speedup, r.sat_warm_ms,
                r.tiers_agree ? "agree" : "TIERS DIVERGED",
                r.corrupt_rejected ? "" : ", CORRUPTION MISSED",
@@ -387,7 +427,7 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( stderr, "cannot open %s for writing\n", path );
     std::exit( 1 );
   }
-  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 3,\n" );
+  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 4,\n" );
   std::fprintf( f, "  \"sim_only\": %s,\n", sim_only ? "true" : "false" );
   std::fprintf( f, "  \"simd_backend\": \"%s\",\n",
                 simd_backend_name( active_simd_backend( sim_width::w512 ) ) );
@@ -401,6 +441,7 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
   // decimal would round a failing 3.46 into a passing 3.5.
   std::fprintf( f, "  \"min_width_speedup\": %.2f,\n", min_width_speedup );
   std::fprintf( f, "  \"frontier_k\": %zu,\n", frontier_k );
+  std::fprintf( f, "  \"width_rounds\": %d,\n", width_rounds );
   std::fprintf( f, "  \"cases\": [\n" );
   for ( std::size_t i = 0; i < cases.size(); ++i )
   {
@@ -411,14 +452,14 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( f, "      \"lines\": %u,\n", c.lines );
     std::fprintf( f, "      \"gates\": %zu,\n", c.gates );
     std::fprintf( f, "      \"scalar_ms\": %.4f,\n", c.scalar_ms );
-    std::fprintf( f, "      \"block_ms\": %.4f,\n", c.block_ms );
+    std::fprintf( f, "      \"w64_ms\": %.4f,\n", c.w64_ms );
     std::fprintf( f, "      \"speedup\": %.1f,\n", c.speedup );
     std::fprintf( f, "      \"wide_ms\": %.4f,\n", c.wide_ms );
     std::fprintf( f, "      \"wide_speedup\": %.1f,\n", c.wide_speedup );
-    std::fprintf( f, "      \"block64_word_us\": %.4f,\n", c.block64_word_us );
+    std::fprintf( f, "      \"w64_word_us\": %.4f,\n", c.w64_word_us );
     std::fprintf( f, "      \"wide_word_us\": %.4f,\n", c.wide_word_us );
     std::fprintf( f, "      \"width_speedup\": %.2f,\n", c.width_speedup );
-    std::fprintf( f, "      \"frontier_block64_ms\": %.4f,\n", c.frontier_block64_ms );
+    std::fprintf( f, "      \"frontier_single_ms\": %.4f,\n", c.frontier_single_ms );
     std::fprintf( f, "      \"frontier_wide_ms\": %.4f,\n", c.frontier_wide_ms );
     std::fprintf( f, "      \"frontier_speedup\": %.1f,\n", c.frontier_speedup );
     std::fprintf( f, "      \"simd_backend\": \"%s\",\n", c.simd_backend.c_str() );

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "../common/fault_injection.hpp"
@@ -158,31 +159,33 @@ struct deferred_verify_slot
   flow_result* result = nullptr;
   verify_mode tier = verify_mode::none;
   unsigned rounds = 0;            ///< optimization rounds → spec artifact key
+  double deadline_seconds = 0.0;  ///< the configuration's own `limits.deadline_seconds`
   const deadline* stop = nullptr; ///< the point's per-configuration deadline
 };
 
 /// The frontier batch-verification pass: groups the deferred points by
-/// (spec artifact, tier) and checks each group in ONE SIMD-wide
-/// cross-circuit sweep — the spec AIG is walked once per lane group for the
-/// whole frontier instead of once per candidate.  Widths, sample counts,
-/// and seeds match the inline defaults exactly, so every patched report is
-/// bit-identical to the per-configuration call the tail skipped; only the
-/// wall clock changes (attributed evenly across the group's
-/// `verify_seconds`).
+/// (spec artifact, tier, per-configuration deadline budget) and checks
+/// each group in ONE SIMD-wide cross-circuit sweep — the spec AIG is walked
+/// once per lane group for the whole frontier instead of once per
+/// candidate.  Widths, sample counts, and seeds match the inline defaults
+/// exactly, so every patched report is bit-identical to the
+/// per-configuration call the tail skipped; only the wall clock changes
+/// (attributed evenly across the group's `verify_seconds`).
 void batch_verify_deferred( const aig_network& aig, flow_artifact_cache& cache,
                             const std::vector<deferred_verify_slot>& slots )
 {
-  std::map<std::pair<unsigned, verify_mode>, std::vector<const deferred_verify_slot*>> groups;
+  std::map<std::tuple<unsigned, verify_mode, double>, std::vector<const deferred_verify_slot*>>
+      groups;
   for ( const auto& slot : slots )
   {
-    groups[{ slot.rounds, slot.tier }].push_back( &slot );
+    groups[{ slot.rounds, slot.tier, slot.deadline_seconds }].push_back( &slot );
   }
   for ( auto& [key, group] : groups )
   {
-    const auto tier = key.second;
+    const auto tier = std::get<1>( key );
     // Always a cache hit: every member's synthesis tail computed (or
     // coalesced onto) this artifact before it could synthesize at all.
-    const auto& spec = cache.optimized( aig, key.first );
+    const auto& spec = cache.optimized( aig, std::get<0>( key ) );
     std::vector<const reversible_circuit*> circuits;
     circuits.reserve( group.size() );
     for ( const auto* slot : group )
@@ -198,9 +201,11 @@ void batch_verify_deferred( const aig_network& aig, flow_artifact_cache& cache,
                     ? sim_width::w512
                     : auto_sim_width( std::uint64_t{ 1 } << spec.num_pis() ) )
             : auto_sim_width( std::uint64_t{ batch_verify_samples } + 2u );
-    // Every member of a group was armed with the same per-configuration
-    // budget at the same instant (the sweep drivers assign uniform
-    // limits), so the first member's deadline serves the whole batch.
+    // Every member of a group carries the same per-configuration budget,
+    // armed at the same instant (the start of its exploration or design),
+    // so the first member's deadline serves the whole batch.  Configs with
+    // different budgets never share a group: one config's deadline must not
+    // decide another's verification.
     const auto& stop = *group.front()->stop;
     stopwatch watch;
     std::vector<partial_verify_report> reports;
@@ -252,134 +257,26 @@ std::vector<deferred_verify_slot> collect_deferred_slots(
          points[i].result.verified_with == verify_mode::none )
     {
       deferred.push_back( { &points[i].result, configs[i].verification,
-                            configs[i].optimization_rounds, &stops[i] } );
+                            configs[i].optimization_rounds, configs[i].limits.deadline_seconds,
+                            &stops[i] } );
     }
   }
   return deferred;
 }
 
-/// The PR 2 engine (`schedule_mode::tail_only`): stage artifacts are
-/// prefetched sequentially, only the per-configuration synthesis tails run
-/// on the pool.  Kept verbatim as the benchmark baseline and the
-/// bit-identity oracle for the task-graph engine.
-///
-/// Fault tolerance: a configuration that throws — in its prefetched stage
-/// or in its tail — is isolated into its own point's `result.status`
-/// (`timed_out` for budget expiry, `failed` otherwise); the other
-/// configurations are unaffected and the full ordered point list is always
-/// returned.
-std::vector<dse_point> explore_tail_only( const aig_network& aig,
-                                          const std::vector<flow_params>& configs,
-                                          const explore_options& options,
-                                          flow_artifact_cache* cache, const deadline& stop )
-{
-  std::vector<dse_point> points( configs.size() );
-  // One deadline per configuration, armed up front so it covers both the
-  // prefetched stage and the synthesis tail of that configuration.
-  std::vector<deadline> stops;
-  stops.reserve( configs.size() );
-  for ( const auto& params : configs )
-  {
-    stops.push_back( stop.tightened( params.limits.deadline_seconds ) );
-  }
-  // A stage failure during prefetch belongs to the configurations that
-  // depend on that stage: record it per slot — together with the artifact
-  // key and stage name it struck, so the status detail can attribute it —
-  // and rethrow it from the slot's job below.  (Recomputing in the job
-  // instead would let a one-shot injected fault pass on retry and hide the
-  // failure.)
-  struct stage_error_record
-  {
-    std::exception_ptr error;
-    std::string key;   ///< artifact key, e.g. "xmg[r=2,k=4]"
-    std::string stage; ///< stage name, e.g. "xmg"
-  };
-  std::vector<stage_error_record> stage_errors( configs.size() );
-  if ( cache )
-  {
-    // Fill the shared stages up front so the concurrent tails only hit.
-    for ( std::size_t i = 0; i < configs.size(); ++i )
-    {
-      try
-      {
-        cache->prefetch( aig, configs[i], stops[i] );
-      }
-      catch ( ... )
-      {
-        stage_errors[i] = { std::current_exception(), flow_artifact_key( configs[i] ),
-                            flow_stage_name( configs[i].kind ) };
-      }
-    }
-  }
+} // namespace
 
-  // Never start more workers than there are tails to run.
-  thread_pool pool( static_cast<unsigned>(
-      std::min<std::size_t>( resolve_num_threads( options ), configs.size() ) ) );
-  for ( std::size_t i = 0; i < configs.size(); ++i )
-  {
-    pool.submit( [&, i] {
-      auto& point = points[i];
-      point.label = dse_label( configs[i] );
-      point.params = configs[i];
-      const auto detail_prefix =
-          stage_errors[i].error ? "stage '" + stage_errors[i].key + "' (" +
-                                      stage_errors[i].stage + ") failed: "
-                                : std::string{};
-      try
-      {
-        if ( stage_errors[i].error )
-        {
-          std::rethrow_exception( stage_errors[i].error );
-        }
-        if ( stops[i].expired() )
-        {
-          throw budget_exhausted( "deadline expired before the configuration started" );
-        }
-        if ( cache )
-        {
-          point.result = run_flow_staged( aig, configs[i], *cache, stops[i] );
-        }
-        else
-        {
-          flow_artifact_cache local;
-          point.result = run_flow_staged( aig, configs[i], local, stops[i] );
-        }
-      }
-      catch ( const budget_exhausted& e )
-      {
-        point.result.status = flow_status::timed_out;
-        point.result.status_detail = detail_prefix + e.what();
-      }
-      catch ( const std::exception& e )
-      {
-        point.result.status = flow_status::failed;
-        point.result.status_detail = detail_prefix + e.what();
-      }
-    } );
-  }
-  // Jobs convert every expected failure into a status record; anything
-  // still surfacing here is a programming error and worth a loud rethrow.
-  const auto errors = pool.wait_all();
-  if ( !errors.empty() )
-  {
-    std::rethrow_exception( errors.front() );
-  }
-  return points;
-}
-
-/// The task-graph engine (`schedule_mode::task_graph`): one dependency DAG
-/// per exploration — coalesced stage-artifact tasks feeding unique
-/// per-configuration tails — dispatched onto the work-stealing pool, so
-/// distinct artifacts compute concurrently with each other and with every
-/// tail that is already unblocked.  Results are written into
-/// caller-indexed slots and every task is deterministic, so the point list
-/// is bit-identical to `explore_tail_only`.
-std::vector<dse_point> explore_graph( const aig_network& aig,
-                                      const std::vector<flow_params>& configs,
-                                      const explore_options& options,
-                                      flow_artifact_cache* cache, const deadline& stop,
-                                      task_graph_stats* sched )
+std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
+                                const explore_options& options, flow_artifact_cache* cache,
+                                task_graph_stats* sched_stats )
 {
+  flow_artifact_cache private_cache;
+  if ( !cache )
+  {
+    private_cache.attach_store( options.store );
+    cache = &private_cache;
+  }
+  const auto stop = deadline::in( options.sweep_deadline_seconds );
   std::vector<dse_point> points( configs.size() );
   std::vector<deadline> stops;
   stops.reserve( configs.size() );
@@ -390,47 +287,26 @@ std::vector<dse_point> explore_graph( const aig_network& aig,
 
   // The graph engine owns the simulation-tier checks of its frontier: the
   // tails run with `defer_sim_verify` set (on a local copy — the recorded
-  // `points[i].params` keep the caller's configuration, matching the
-  // tail-only oracle) and the batch pass after the run verifies the whole
-  // frontier in one cross-circuit sweep.  Uncached exploration keeps
-  // inline verification: without the shared cache the spec artifact the
-  // batch miters against is private to each tail.
+  // `points[i].params` keep the caller's configuration) and the batch pass
+  // after the run verifies the whole frontier in one cross-circuit sweep.
   auto cfgs = configs;
-  if ( cache )
+  for ( auto& config : cfgs )
   {
-    for ( auto& config : cfgs )
-    {
-      config.defer_sim_verify = defer_eligible( config );
-    }
+    config.defer_sim_verify = defer_eligible( config );
   }
 
+  // One dependency DAG per exploration — coalesced stage-artifact tasks
+  // feeding unique per-configuration tails — so distinct artifacts compute
+  // concurrently with each other and with every tail that is already
+  // unblocked.  Results land in caller-indexed slots and every task is
+  // deterministic, so the point list does not depend on the schedule.
   task_graph graph;
   std::vector<task_id> tails( configs.size() );
   for ( std::size_t i = 0; i < cfgs.size(); ++i )
   {
     points[i].label = dse_label( cfgs[i] );
     points[i].params = configs[i];
-    if ( cache )
-    {
-      tails[i] =
-          add_flow_tasks( graph, aig, cfgs[i], *cache, stops[i], points[i].result ).tail;
-    }
-    else
-    {
-      // Uncached exploration: no shared artifacts, so each configuration is
-      // a single independent task running the full staged flow privately —
-      // the exact work the sequential uncached baseline does per slot.
-      tails[i] = graph.add(
-          "tail:" + points[i].label + "#" + std::to_string( graph.size() ),
-          [&aig, &points, &cfgs, &stops, i] {
-            if ( stops[i].expired() )
-            {
-              throw budget_exhausted( "deadline expired before the configuration started" );
-            }
-            flow_artifact_cache local;
-            points[i].result = run_flow_staged( aig, cfgs[i], local, stops[i] );
-          } );
-    }
+    tails[i] = add_flow_tasks( graph, aig, cfgs[i], *cache, stops[i], points[i].result ).tail;
   }
 
   // Never start more workers than there are tasks to run.
@@ -441,74 +317,12 @@ std::vector<dse_point> explore_graph( const aig_network& aig,
   {
     fill_point_status( graph, tails[i], points[i] );
   }
-  if ( cache )
+  batch_verify_deferred( aig, *cache, collect_deferred_slots( graph, cfgs, tails, stops, points ) );
+  if ( sched_stats )
   {
-    batch_verify_deferred( aig, *cache,
-                           collect_deferred_slots( graph, cfgs, tails, stops, points ) );
-  }
-  if ( sched )
-  {
-    *sched = graph.stats();
+    *sched_stats = graph.stats();
   }
   return points;
-}
-
-std::vector<dse_point> explore_impl( const aig_network& aig,
-                                     const std::vector<flow_params>& configs,
-                                     const explore_options& options,
-                                     flow_artifact_cache* cache, const deadline& stop,
-                                     task_graph_stats* sched = nullptr )
-{
-  if ( options.scheduler == schedule_mode::task_graph )
-  {
-    return explore_graph( aig, configs, options, cache, stop, sched );
-  }
-  if ( sched )
-  {
-    *sched = {};
-  }
-  return explore_tail_only( aig, configs, options, cache, stop );
-}
-
-} // namespace
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs )
-{
-  return explore( aig, configs, explore_options{} );
-}
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options )
-{
-  const auto stop = deadline::in( options.sweep_deadline_seconds );
-  if ( !options.use_cache )
-  {
-    return explore_impl( aig, configs, options, nullptr, stop );
-  }
-  flow_artifact_cache cache;
-  cache.attach_store( options.store );
-  return explore_impl( aig, configs, options, &cache, stop );
-}
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache )
-{
-  return explore_impl( aig, configs, options, &cache,
-                       deadline::in( options.sweep_deadline_seconds ) );
-}
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache,
-                                const deadline& stop )
-{
-  return explore_impl( aig, configs, options, &cache, stop );
-}
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache,
-                                const deadline& stop, task_graph_stats& sched_stats )
-{
-  return explore_impl( aig, configs, options, &cache, stop, &sched_stats );
 }
 
 namespace
@@ -552,80 +366,12 @@ std::string design_name( reciprocal_design design, unsigned n )
          std::to_string( n ) + ")";
 }
 
-/// The PR 6 batch driver (`schedule_mode::tail_only`): designs strictly one
-/// at a time, each through the tail-only exploration core.  Kept as the
-/// benchmark baseline and the bit-identity oracle for the batch graph.
-std::vector<design_exploration> explore_designs_serial(
-    const std::vector<reciprocal_design>& designs, unsigned min_bitwidth,
-    unsigned max_bitwidth, const explore_options& options )
-{
-  const auto sweep_stop = deadline::in( options.sweep_deadline_seconds );
-  std::vector<design_exploration> explorations;
-  for ( unsigned n = min_bitwidth; n <= max_bitwidth; ++n )
-  {
-    for ( const auto design : designs )
-    {
-      design_exploration entry;
-      entry.design = design;
-      entry.bitwidth = n;
-      entry.name = design_name( design, n );
-      stopwatch watch;
-      // Per-design failure isolation: elaboration errors and sweep-budget
-      // expiry become this design's status record; the sweep continues
-      // with the next design either way.
-      try
-      {
-        if ( sweep_stop.expired() )
-        {
-          throw budget_exhausted( "sweep deadline expired before the design started" );
-        }
-        fault_injection::poll( "dse.elaborate" );
-        const auto mod =
-            verilog::elaborate_verilog( reciprocal_verilog( design, n ), entry.name );
-        auto configs =
-            default_dse_configurations( n <= options.functional_max_bitwidth );
-        for ( auto& config : configs )
-        {
-          config.verify = options.verification != verify_mode::none;
-          config.verification = options.verification;
-          config.limits = options.limits;
-        }
-        if ( options.use_cache )
-        {
-          flow_artifact_cache cache;
-          cache.attach_store( options.store );
-          entry.points = explore( mod.aig, configs, options, cache, sweep_stop );
-          entry.cache = cache.stats();
-        }
-        else
-        {
-          entry.points = explore_impl( mod.aig, configs, options, nullptr, sweep_stop );
-        }
-        aggregate_design_status( entry );
-      }
-      catch ( const budget_exhausted& e )
-      {
-        entry.status = flow_status::timed_out;
-        entry.status_detail = e.what();
-      }
-      catch ( const std::exception& e )
-      {
-        entry.status = flow_status::failed;
-        entry.status_detail = e.what();
-      }
-      entry.wall_seconds = watch.elapsed_seconds();
-      explorations.push_back( std::move( entry ) );
-    }
-  }
-  return explorations;
-}
-
 /// One design's slot in the batch graph.  Heap-pinned (the task lambdas
 /// keep pointers into it) and written strictly by the design's own tasks:
 /// the elaborate task fills `aig`, the stage/tail tasks go through
 /// `cache`/`points`.  Task keys are prefixed with the design name, so
 /// coalescing never crosses designs — each design keeps its own artifact
-/// cache exactly like the serial sweep.
+/// cache.
 struct design_build
 {
   design_exploration entry;
@@ -635,12 +381,11 @@ struct design_build
   /// design's start) — NOT at graph-build time, where a nonzero
   /// `limits.deadline_seconds` would start ticking for every design at
   /// once and late-scheduled designs would begin with their per-flow
-  /// clock already consumed by earlier ones (the serial driver arms them
-  /// on entry to `explore`, i.e. per design).  The flow tasks read these
+  /// clock already consumed by earlier ones.  The flow tasks read these
   /// slots by reference at run time, always after the elaborate task they
   /// depend on wrote them.
   std::vector<deadline> stops;
-  std::unique_ptr<flow_artifact_cache> cache;
+  flow_artifact_cache cache;
   aig_network aig;
   task_id elaborate = 0;
   std::vector<task_id> tails;
@@ -648,8 +393,7 @@ struct design_build
   task_id last_task = 0;
 };
 
-/// The batch graph (`schedule_mode::task_graph`): the whole sweep is ONE
-/// task graph — per-design elaboration tasks feeding that design's stage
+/// The batch graph: the whole sweep is ONE task graph — per-design elaboration tasks feeding that design's stage
 /// artifacts and synthesis tails — so different designs overlap on the
 /// pool instead of running strictly one at a time.  Failure isolation now
 /// falls out of poisoning: a failed elaboration poisons exactly that
@@ -677,24 +421,17 @@ std::vector<design_exploration> explore_designs_graph(
         config.verify = options.verification != verify_mode::none;
         config.verification = options.verification;
         config.limits = options.limits;
+        // The per-design batch pass after the run takes over this design's
+        // simulation-tier checks (see `batch_verify_deferred`).
+        config.defer_sim_verify = defer_eligible( config );
       }
+      slot->cache.attach_store( options.store );
       slot->points.resize( slot->configs.size() );
       // Pre-fill with the sweep deadline; the elaborate task below
       // tightens each slot by its per-config budget when the design
       // actually starts.  Sized up front so the references the flow tasks
       // capture stay stable.
       slot->stops.assign( slot->configs.size(), sweep_stop );
-      if ( options.use_cache )
-      {
-        slot->cache = std::make_unique<flow_artifact_cache>();
-        slot->cache->attach_store( options.store );
-        // The per-design batch pass after the run takes over this design's
-        // simulation-tier checks (see `batch_verify_deferred`).
-        for ( auto& config : slot->configs )
-        {
-          config.defer_sim_verify = defer_eligible( config );
-        }
-      }
       slot->first_task = graph.size();
       const auto prefix = slot->entry.name + "/";
       slot->elaborate = graph.add( prefix + "elaborate", [slot, design, n, sweep_stop] {
@@ -706,9 +443,8 @@ std::vector<design_exploration> explore_designs_graph(
         slot->aig =
             verilog::elaborate_verilog( reciprocal_verilog( design, n ), slot->entry.name )
                 .aig;
-        // Arm the per-configuration deadlines NOW — the design's start —
-        // matching the serial driver's per-design arming point.  Every
-        // flow task depends on this task, so the writes are ordered
+        // Arm the per-configuration deadlines NOW — the design's start.
+        // Every flow task depends on this task, so the writes are ordered
         // before any read.
         for ( std::size_t i = 0; i < slot->configs.size(); ++i )
         {
@@ -720,32 +456,13 @@ std::vector<design_exploration> explore_designs_graph(
       {
         slot->points[i].label = dse_label( slot->configs[i] );
         slot->points[i].params = slot->configs[i];
-        // Recorded params match the serial oracle: the defer flag is the
-        // engine's internal routing, not part of the configuration.
+        // Recorded params are the swept configuration: the defer flag is
+        // the engine's internal routing, not part of it.
         slot->points[i].params.defer_sim_verify = false;
-        if ( slot->cache )
-        {
-          slot->tails.push_back( add_flow_tasks( graph, slot->aig, slot->configs[i],
-                                                 *slot->cache, slot->stops[i],
-                                                 slot->points[i].result, prefix,
-                                                 { slot->elaborate } )
-                                     .tail );
-        }
-        else
-        {
-          slot->tails.push_back( graph.add(
-              prefix + "tail:" + slot->points[i].label + "#" + std::to_string( graph.size() ),
-              [slot, i] {
-                if ( slot->stops[i].expired() )
-                {
-                  throw budget_exhausted( "deadline expired before the configuration started" );
-                }
-                flow_artifact_cache local;
-                slot->points[i].result =
-                    run_flow_staged( slot->aig, slot->configs[i], local, slot->stops[i] );
-              },
-              { slot->elaborate } ) );
-        }
+        slot->tails.push_back( add_flow_tasks( graph, slot->aig, slot->configs[i], slot->cache,
+                                               slot->stops[i], slot->points[i].result, prefix,
+                                               { slot->elaborate } )
+                                   .tail );
       }
       slot->last_task = graph.size();
       builds.push_back( std::move( build ) );
@@ -768,23 +485,16 @@ std::vector<design_exploration> explore_designs_graph(
       {
         fill_point_status( graph, build->tails[i], entry.points[i] );
       }
-      if ( build->cache )
-      {
-        batch_verify_deferred( build->aig, *build->cache,
-                               collect_deferred_slots( graph, build->configs, build->tails,
-                                                       build->stops, entry.points ) );
-      }
+      batch_verify_deferred( build->aig, build->cache,
+                             collect_deferred_slots( graph, build->configs, build->tails,
+                                                     build->stops, entry.points ) );
       aggregate_design_status( entry );
-      if ( build->cache )
-      {
-        entry.cache = build->cache->stats();
-      }
+      entry.cache = build->cache.stats();
     }
     else
     {
       // Elaboration failed, timed out, or was cancelled by the sweep
-      // deadline: the design keeps the serial contract — empty point list,
-      // design-level status record.
+      // deadline: empty point list, design-level status record.
       const auto error = graph.error( build->elaborate );
       entry.status = is_budget_error( error ) ? flow_status::timed_out : flow_status::failed;
       entry.status_detail = error_what( error );
@@ -821,11 +531,7 @@ std::vector<design_exploration> explore_designs( const std::vector<reciprocal_de
                                                  unsigned min_bitwidth, unsigned max_bitwidth,
                                                  const explore_options& options )
 {
-  if ( options.scheduler == schedule_mode::task_graph )
-  {
-    return explore_designs_graph( designs, min_bitwidth, max_bitwidth, options, nullptr );
-  }
-  return explore_designs_serial( designs, min_bitwidth, max_bitwidth, options );
+  return explore_designs_graph( designs, min_bitwidth, max_bitwidth, options, nullptr );
 }
 
 std::vector<design_exploration> explore_designs( const std::vector<reciprocal_design>& designs,
@@ -833,12 +539,7 @@ std::vector<design_exploration> explore_designs( const std::vector<reciprocal_de
                                                  const explore_options& options,
                                                  task_graph_stats& sched_stats )
 {
-  if ( options.scheduler == schedule_mode::task_graph )
-  {
-    return explore_designs_graph( designs, min_bitwidth, max_bitwidth, options, &sched_stats );
-  }
-  sched_stats = {};
-  return explore_designs_serial( designs, min_bitwidth, max_bitwidth, options );
+  return explore_designs_graph( designs, min_bitwidth, max_bitwidth, options, &sched_stats );
 }
 
 std::vector<std::size_t> pareto_front( const std::vector<dse_point>& points )

@@ -7,12 +7,13 @@
 /// designs) and reports the full result list plus the Pareto frontier in
 /// the (qubits, T-count) plane, the two cost metrics the paper trades off.
 ///
-/// The exploration engine is cached and concurrent: shared stage artifacts
-/// (optimized AIG, minimized ESOP cube list, resynthesized XMG) are
-/// computed once per design through a `flow_artifact_cache`, and the
-/// per-configuration synthesis tails run on a thread pool.  Result
-/// ordering — and every cost number — is identical to the sequential
-/// uncached path; only the wall clock changes.
+/// The exploration engine is the task graph (`core/task_graph.hpp`):
+/// shared stage artifacts (optimized AIG, minimized ESOP cube list,
+/// resynthesized XMG) are computed once per design through a
+/// `flow_artifact_cache`, and the per-configuration synthesis tails run on
+/// the work-stealing pool.  Result ordering — and every cost number — is
+/// identical to a sequential loop of `run_flow_on_aig`, one call per
+/// configuration; only the wall clock changes.
 
 #pragma once
 
@@ -32,37 +33,13 @@ struct dse_point
   flow_result result;
 };
 
-/// How an exploration is scheduled onto the thread pool.
-enum class schedule_mode
-{
-  /// The PR 2 engine, kept as the comparison baseline: stage artifacts
-  /// are prefilled sequentially per design, only the per-configuration
-  /// synthesis tails run on the pool, and `explore_designs` sweeps
-  /// designs strictly one at a time.
-  tail_only,
-  /// The whole pipeline as a dependency DAG (`core/task_graph.hpp`) on
-  /// the work-stealing pool: stage artifacts, synthesis tails, and — in
-  /// `explore_designs` — entire designs run concurrently, duplicate
-  /// artifact requests coalesce onto one in-flight task, and a failing
-  /// task poisons only its dependents.  Bit-identical results to
-  /// `tail_only`; only the wall clock (and failure *attribution* detail,
-  /// which now names the shared artifact task) changes.
-  task_graph
-};
-
 /// Tuning knobs of the exploration engine.
 struct explore_options
 {
-  /// Worker threads for the per-configuration synthesis tails.
+  /// Worker threads of the task-graph pool.
   /// 0 = `thread_pool::default_num_threads()` (hardware concurrency,
   /// overridable via QSYN_THREADS), 1 = run inline (fully sequential).
   unsigned num_threads = 0;
-  /// Execution engine (see `schedule_mode`); `task_graph` by default.
-  schedule_mode scheduler = schedule_mode::task_graph;
-  /// Share stage artifacts across configurations.  Disabling this (with
-  /// num_threads = 1) reproduces the original one-shot-per-configuration
-  /// sequential path exactly, which the benchmark uses as its baseline.
-  bool use_cache = true;
   /// Largest bitwidth at which batch exploration includes the functional
   /// flow (explicit synthesis range; `explore_designs` only).
   unsigned functional_max_bitwidth = 9;
@@ -83,8 +60,8 @@ struct explore_options
   /// repeated sweep — including one in a fresh process — warm-starts from
   /// earlier stage artifacts instead of recomputing them (cache_stats
   /// `store_hits` counts the served artifacts).  Results are bit-identical
-  /// to a cold run.  Ignored by the `explore` overloads that take a
-  /// caller-owned cache (attach the store to that cache yourself).
+  /// to a cold run.  Ignored when `explore` is given a caller-owned cache
+  /// (attach the store to that cache yourself).
   std::shared_ptr<store::artifact_store> store;
 };
 
@@ -95,29 +72,28 @@ std::vector<flow_params> default_dse_configurations( bool include_functional = t
 
 std::string dse_label( const flow_params& params );
 
-/// Runs all configurations on a design AIG (cached + parallel by default;
-/// the returned points are ordered exactly like `configs`).
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs );
+/// Runs all configurations on a design AIG as one task graph: coalesced
+/// stage-artifact tasks feed the per-configuration synthesis tails on the
+/// work-stealing pool.  The returned points are ordered exactly like
+/// `configs`, and with unlimited budgets every cost, circuit and
+/// verification report is bit-identical to calling `run_flow_on_aig` once
+/// per configuration.  (The sampled and exhaustive checks run in one batch
+/// pass after the graph, so under a deadline a configuration can run out
+/// of time there where an inline check would still have fit.)
+///
+/// The sweep deadline is `options.sweep_deadline_seconds`; each
+/// configuration's own `limits.deadline_seconds` tightens it further.  A
+/// configuration hitting its budget or throwing is isolated into its
+/// point's `result.status`, so the exploration always returns a full,
+/// ordered point list.  With `cache`, stage artifacts live in (and cache
+/// statistics accumulate into) that caller-owned cache, which must be used
+/// for one design only; otherwise a private cache is attached to
+/// `options.store`.  With `sched_stats`, the scheduler statistics of the
+/// run (tasks run/coalesced, steals, wall vs critical path) are reported.
 std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options );
-/// As above, but stage artifacts live in (and cache statistics accumulate
-/// into) a caller-owned cache, which must be used for one design only.
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache );
-/// As above under an externally armed deadline (e.g. the sweep deadline of
-/// `explore_designs`); each configuration's own `limits.deadline_seconds`
-/// tightens it further.  A configuration hitting its budget or throwing is
-/// isolated into its point's `result.status` — the exploration always
-/// returns a full, ordered point list.
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache,
-                                const deadline& stop );
-/// As above, additionally reporting the scheduler statistics of the run
-/// (tasks run/coalesced, steals, wall vs critical path).  Under
-/// `schedule_mode::tail_only` the statistics are zeroed — there is no graph.
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache,
-                                const deadline& stop, task_graph_stats& sched_stats );
+                                const explore_options& options = {},
+                                flow_artifact_cache* cache = nullptr,
+                                task_graph_stats* sched_stats = nullptr );
 
 /// One design of a batch exploration.
 struct design_exploration
@@ -146,10 +122,8 @@ std::vector<design_exploration> explore_designs( const std::vector<reciprocal_de
                                                  unsigned min_bitwidth, unsigned max_bitwidth,
                                                  const explore_options& options = {} );
 /// As above, additionally reporting the scheduler statistics of the whole
-/// batch.  Under `schedule_mode::task_graph` the batch is ONE graph — every
-/// design's elaboration, stage artifacts, and synthesis tails — so designs
-/// overlap on the pool; under `tail_only` designs run strictly one at a
-/// time and the statistics are zeroed.
+/// batch.  The batch is ONE graph — every design's elaboration, stage
+/// artifacts, and synthesis tails — so designs overlap on the pool.
 std::vector<design_exploration> explore_designs( const std::vector<reciprocal_design>& designs,
                                                  unsigned min_bitwidth, unsigned max_bitwidth,
                                                  const explore_options& options,

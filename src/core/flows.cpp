@@ -409,30 +409,6 @@ sat::incremental_cec& flow_artifact_cache::sat_engine()
   return *sat_engine_;
 }
 
-void flow_artifact_cache::prefetch( const aig_network& aig, const flow_params& params,
-                                    const deadline& stop )
-{
-  // Each stage intermediate computes the optimized AIG itself on a miss,
-  // so no separate optimized() access (it would only skew the counters).
-  switch ( params.kind )
-  {
-  case flow_kind::functional:
-    functional_intermediate( aig, params.optimization_rounds );
-    break;
-  case flow_kind::esop_based:
-  {
-    exorcism_params mlimits;
-    mlimits.pair_budget = params.limits.exorcism_pair_budget;
-    mlimits.stop = stop;
-    esop_intermediate( aig, params.optimization_rounds, params.run_exorcism, mlimits );
-    break;
-  }
-  case flow_kind::hierarchical:
-    xmg_intermediate( aig, params.optimization_rounds, params.cut_size );
-    break;
-  }
-}
-
 cache_stats flow_artifact_cache::stats() const
 {
   std::lock_guard<std::mutex> lock( mutex_ );
@@ -724,7 +700,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
       if ( verify_outputs )
       {
         // The functional flow checks against its collapsed truth tables —
-        // block-driven full enumeration, so sampled == exhaustive here.
+        // full bit-parallel enumeration, so sampled == exhaustive here.
         result.verified_with = mode;
         result.verified = verify_against_truth_tables( result.circuit, *verify_outputs );
       }

@@ -25,8 +25,9 @@
 /// private cache.
 ///
 /// Every flow closes with a verification tier selected by
-/// `flow_params::verification` (`verify_mode`): 64-way batched random
-/// sampling, 64-way exhaustive enumeration, or the incremental SAT
+/// `flow_params::verification` (`verify_mode`): bit-parallel random
+/// sampling, bit-parallel exhaustive enumeration (64–512 assignments per
+/// gate pass, wide_sim.hpp), or the incremental SAT
 /// equivalence engine (`sat::incremental_cec`) — the ladder mirrors the
 /// paper's closing ABC `cec` call.  The cache owns the sweep's persistent
 /// engine (`sat_engine()`), so every `sat`-tier check of a sweep shares
@@ -88,9 +89,9 @@ enum class flow_kind
 enum class verify_mode
 {
   none,       ///< skip verification entirely
-  sampled,    ///< 64-way batched random simulation (probabilistic; silently
+  sampled,    ///< bit-parallel random simulation (probabilistic; silently
               ///< exhaustive when 2^inputs fits the sample budget)
-  exhaustive, ///< 64-way batched enumeration of all 2^inputs assignments
+  exhaustive, ///< bit-parallel enumeration of all 2^inputs assignments
               ///< (a proof; inputs <= 24)
   sat         ///< SAT miter against the extracted circuit AIG (a proof at
               ///< any width; src/sat/)
@@ -151,9 +152,9 @@ struct flow_result
 {
   reversible_circuit circuit;
   cost_report costs;
-  double runtime_seconds = 0.0; ///< synthesis only; prefetched cache hits
-                                ///< cost ~0 (a hit racing the computing
-                                ///< thread blocks, and that wait counts)
+  double runtime_seconds = 0.0; ///< synthesis only; stage cache hits cost
+                                ///< ~0 (a hit racing the computing thread
+                                ///< blocks, and that wait counts)
   double verify_seconds = 0.0;  ///< verification time of the tier that ran
                                 ///< (0 if verification is off)
   bool verified = false;
@@ -308,13 +309,6 @@ public:
   /// is guarded by the cache mutex), and verdict-identical to a fresh
   /// engine per call — reuse only changes the wall clock.
   sat::incremental_cec& sat_engine();
-
-  /// Computes every artifact the given configuration will look up, so a
-  /// subsequent `run_flow_staged` only runs the synthesis tail.  `stop`
-  /// bounds budget-aware stage kernels (EXORCISM) on a miss; fault
-  /// injection sites inside the stages fire here exactly as they would in
-  /// the flow itself.
-  void prefetch( const aig_network& aig, const flow_params& params, const deadline& stop = {} );
 
   /// Attaches (or detaches, with nullptr) the persistent disk tier.  The
   /// store is consulted between memory lookup and computation and written

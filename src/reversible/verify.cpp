@@ -15,41 +15,6 @@ namespace
 
 constexpr std::uint64_t all_ones = ~std::uint64_t{ 0 };
 
-/// Fills one packed word per input for the 64 assignments
-/// x = blk * 64 + j (j = bit position): the low six variables cycle through
-/// the canonical projection patterns, the higher ones broadcast the
-/// corresponding bit of the block index.
-void fill_counter_block( unsigned num_inputs, std::uint64_t blk,
-                         std::vector<std::uint64_t>& words )
-{
-  for ( unsigned i = 0; i < num_inputs; ++i )
-  {
-    words[i] = i < 6u ? projections[i] : ( ( blk >> ( i - 6u ) ) & 1u ) ? all_ones : 0u;
-  }
-}
-
-/// Unpacks assignment lane `j` of a packed input batch.
-std::vector<bool> unpack_lane( const std::vector<std::uint64_t>& words, unsigned j )
-{
-  std::vector<bool> assignment( words.size() );
-  for ( std::size_t i = 0; i < words.size(); ++i )
-  {
-    assignment[i] = ( words[i] >> j ) & 1u;
-  }
-  return assignment;
-}
-
-/// OR of the per-output differences between two packed result vectors.
-std::uint64_t diff_word( const std::vector<std::uint64_t>& a, const std::vector<std::uint64_t>& b )
-{
-  std::uint64_t diff = 0;
-  for ( std::size_t o = 0; o < a.size(); ++o )
-  {
-    diff |= a[o] ^ b[o];
-  }
-  return diff;
-}
-
 /// Fills one lane group per input for the `W` consecutive counter blocks
 /// starting at `blk0` (word k of input i covers assignments
 /// `(blk0 + k) * 64 .. + 63`): the low six variables cycle through the
@@ -156,59 +121,6 @@ std::vector<bool> evaluate_circuit( const reversible_circuit& circuit,
   return outputs;
 }
 
-// --- 64-way block simulation -------------------------------------------------
-
-block_simulator::block_simulator( const reversible_circuit& circuit )
-    : circuit_( circuit ), in_lines_( input_lines_of( circuit ) ),
-      out_lines_( output_lines_of( circuit ) ), init_state_( circuit.num_lines(), 0u ),
-      state_( circuit.num_lines() ), outputs_( out_lines_.size() )
-{
-  for ( unsigned l = 0; l < circuit.num_lines(); ++l )
-  {
-    if ( circuit.line( l ).is_constant_input && circuit.line( l ).constant_value )
-    {
-      init_state_[l] = all_ones;
-    }
-  }
-}
-
-const std::vector<std::uint64_t>&
-block_simulator::evaluate( const std::vector<std::uint64_t>& input_words )
-{
-  if ( input_words.size() != in_lines_.size() )
-  {
-    throw std::invalid_argument( "block_simulator::evaluate: input arity mismatch" );
-  }
-  state_ = init_state_;
-  for ( std::size_t i = 0; i < in_lines_.size(); ++i )
-  {
-    state_[in_lines_[i]] = input_words[i];
-  }
-  for ( const auto& g : circuit_.gates() )
-  {
-    // All 64 assignments at once: the control conjunction is a word AND
-    // (complemented for negative controls), the target flip a word XOR.
-    std::uint64_t fire = all_ones;
-    for ( const auto& c : g.controls )
-    {
-      fire &= c.positive ? state_[c.line] : ~state_[c.line];
-    }
-    state_[g.target] ^= fire;
-  }
-  for ( std::size_t o = 0; o < out_lines_.size(); ++o )
-  {
-    outputs_[o] = state_[out_lines_[o]];
-  }
-  return outputs_;
-}
-
-std::vector<std::uint64_t> evaluate_circuit_block( const reversible_circuit& circuit,
-                                                   const std::vector<std::uint64_t>& input_words )
-{
-  block_simulator sim( circuit );
-  return sim.evaluate( input_words );
-}
-
 // --- exhaustive tiers --------------------------------------------------------
 
 bool verify_against_truth_tables( const reversible_circuit& circuit,
@@ -256,109 +168,6 @@ bool verify_against_truth_tables( const reversible_circuit& circuit,
   return true;
 }
 
-// --- the retained 64-bit oracle ---------------------------------------------
-
-partial_verify_report verify_against_aig_exhaustive_block64( const reversible_circuit& circuit,
-                                                             const aig_network& aig,
-                                                             const deadline& stop )
-{
-  block_simulator sim( circuit );
-  const auto num_pis = aig.num_pis();
-  if ( sim.input_lines().size() != num_pis || sim.output_lines().size() != aig.num_pos() )
-  {
-    throw std::invalid_argument( "verify_against_aig_exhaustive: interface mismatch" );
-  }
-  if ( num_pis > 24u )
-  {
-    throw std::invalid_argument( "verify_against_aig_exhaustive: too many inputs" );
-  }
-  partial_verify_report report;
-  report.assignments_requested = std::uint64_t{ 1 } << num_pis;
-  const auto poll_deadline = !stop.unlimited();
-  const auto mask = block_mask( num_pis );
-  std::vector<std::uint64_t> words( num_pis );
-  for ( std::uint64_t blk = 0; blk < num_blocks_for( num_pis ); ++blk )
-  {
-    if ( poll_deadline && stop.expired() )
-    {
-      report.complete = false;
-      return report;
-    }
-    fill_counter_block( num_pis, blk, words );
-    const auto expected = aig.simulate_patterns( words );
-    const auto& actual = sim.evaluate( words );
-    if ( const auto diff = diff_word( expected, actual ) & mask )
-    {
-      // Lowest failing lane of the lowest failing block == first failing
-      // assignment in counter order, matching the scalar enumeration the
-      // block engine replaced.
-      report.counterexample = unpack_lane( words, static_cast<unsigned>( lsb_index( diff ) ) );
-      report.assignments_completed += lsb_index( diff ) + 1u;
-      return report;
-    }
-    report.assignments_completed +=
-        std::min<std::uint64_t>( 64u, report.assignments_requested - blk * 64u );
-  }
-  return report;
-}
-
-partial_verify_report verify_against_aig_sampled_block64( const reversible_circuit& circuit,
-                                                          const aig_network& aig,
-                                                          const deadline& stop,
-                                                          unsigned num_samples,
-                                                          std::uint64_t seed )
-{
-  const auto num_pis = aig.num_pis();
-  // When the whole input space is no larger than the sample budget,
-  // enumerate it exhaustively: random sampling would draw duplicate
-  // vectors and could certify a tiny design without ever covering it.
-  if ( num_pis <= 24u && ( std::uint64_t{ 1 } << num_pis ) <= num_samples )
-  {
-    return verify_against_aig_exhaustive_block64( circuit, aig, stop );
-  }
-  block_simulator sim( circuit );
-  if ( sim.input_lines().size() != num_pis || sim.output_lines().size() != aig.num_pos() )
-  {
-    throw std::invalid_argument( "verify_against_aig_sampled: interface mismatch" );
-  }
-  std::mt19937_64 rng( seed );
-  const std::uint64_t total = std::uint64_t{ num_samples } + 2u;
-  partial_verify_report report;
-  report.assignments_requested = total;
-  const auto poll_deadline = !stop.unlimited();
-  std::vector<std::uint64_t> words( num_pis );
-  for ( std::uint64_t base = 0; base < total; base += 64u )
-  {
-    if ( poll_deadline && stop.expired() )
-    {
-      report.complete = false;
-      return report;
-    }
-    // One rng word per input = 64 independent random assignments.  The
-    // first batch pins lane 0 to all-zero and lane 1 to all-one.
-    for ( auto& w : words )
-    {
-      w = rng();
-      if ( base == 0 )
-      {
-        w = ( w & ~std::uint64_t{ 3 } ) | 2u;
-      }
-    }
-    const auto lanes = std::min<std::uint64_t>( 64u, total - base );
-    const auto mask = lanes == 64u ? all_ones : ( std::uint64_t{ 1 } << lanes ) - 1u;
-    const auto expected = aig.simulate_patterns( words );
-    const auto& actual = sim.evaluate( words );
-    if ( const auto diff = diff_word( expected, actual ) & mask )
-    {
-      report.counterexample = unpack_lane( words, static_cast<unsigned>( lsb_index( diff ) ) );
-      report.assignments_completed += lsb_index( diff ) + 1u;
-      return report;
-    }
-    report.assignments_completed += lanes;
-  }
-  return report;
-}
-
 // --- the wide engine ---------------------------------------------------------
 
 namespace
@@ -368,9 +177,9 @@ namespace
 /// checked against the same spec AIG in one counter-order enumeration, the
 /// spec simulated once per lane group.  Failed candidates retire from the
 /// remaining passes; their reports are already final.  Word-by-word
-/// comparison in block order keeps the first-counterexample contract and
-/// the per-assignment coverage accounting bit-identical to the 64-bit
-/// oracle at every width.
+/// comparison in block order keeps the first-counterexample contract (the
+/// lowest failing assignment in counter order) and the per-assignment
+/// coverage accounting identical at every width.
 std::vector<partial_verify_report>
 exhaustive_wide( const std::vector<const reversible_circuit*>& circuits, const aig_network& aig,
                  const deadline& stop, sim_width width )
@@ -446,10 +255,9 @@ exhaustive_wide( const std::vector<const reversible_circuit*>& circuits, const a
 }
 
 /// Shared frontier sweep behind the sampled tiers.  The rng stream is
-/// consumed one word per input per 64-lane block, in block order — exactly
-/// the 64-bit oracle's draw order — so every width and batch shape sees
-/// identical patterns.  Lane masking plus per-64-block accounting keeps
-/// `assignments_completed` exact (never rounded up to lane-group
+/// consumed one word per input per 64-lane block, in block order, so every
+/// width and batch shape sees identical patterns.  Lane masking plus
+/// per-64-block accounting keeps `assignments_completed` exact (never rounded up to lane-group
 /// granularity) when the request size is not lane-aligned.
 std::vector<partial_verify_report>
 sampled_wide( const std::vector<const reversible_circuit*>& circuits, const aig_network& aig,

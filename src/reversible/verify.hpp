@@ -3,24 +3,24 @@
 /// irreversible specification (our analogue of the paper's use of ABC `cec`).
 ///
 /// Three tiers are provided, trading confidence against cost:
-///   * **sampled** — 64 random input assignments per simulated word
+///   * **sampled** — random input assignments, 64 per simulated word
 ///     (probabilistic; silently exhaustive when 2^inputs fits the budget),
-///   * **exhaustive** — all 2^inputs assignments, 64 per word (a proof for
-///     bounded input counts),
+///   * **exhaustive** — all 2^inputs assignments in counter order (a proof
+///     for bounded input counts),
 ///   * **SAT** — the circuit's function is extracted into an AIG and
 ///     checked against the specification by the incremental equivalence
 ///     engine (`qsyn::sat::incremental_cec`: shared structural hashing,
 ///     per-output miters under assumptions, simulation-guided fraiging); a
 ///     proof at any width, and reusable across a sweep's configurations.
-/// The simulation tiers share one engine family (wide_sim.hpp): a lane
-/// group of 1, 4, or 8 `std::uint64_t` words per circuit line packs 64–512
-/// input assignments, and every gate sweeps whole groups — the Toffoli
-/// control conjunction is a group AND, the target update a group XOR — so
-/// one pass over the gate list settles up to 512 assignments at once
-/// (portable unrolled lanes by default, AVX2/AVX-512 words when compiled
-/// in and the CPU agrees).  The original 64-bit `block_simulator` is
-/// retained as the differential oracle (`*_block64` tiers below); every
-/// width is bit-identical to it by contract.
+/// The simulation tiers run on one engine (wide_sim.hpp): a lane group of
+/// 1, 4, or 8 `std::uint64_t` words per circuit line packs 64–512 input
+/// assignments, and every gate sweeps whole groups — the Toffoli control
+/// conjunction is a group AND, the target update a group XOR — so one pass
+/// over the gate list settles up to 512 assignments at once (portable
+/// unrolled lanes by default, AVX2/AVX-512 words when compiled in and the
+/// CPU agrees).  Every width is bit-identical by contract; the independent
+/// oracle it is pinned against is the scalar `evaluate_circuit` below
+/// (tests/test_verify.cpp).
 ///
 /// Conventions: input variable i lives on the i-th line flagged
 /// `is_primary_input` (in line order); constant ancillae carry
@@ -55,50 +55,20 @@ std::vector<std::uint32_t> input_lines_of( const reversible_circuit& circuit );
 std::vector<std::uint32_t> output_lines_of( const reversible_circuit& circuit );
 
 /// Simulates the circuit on one input assignment (constants filled in) and
-/// returns the output values.  This is the scalar reference evaluator; the
-/// verifiers below run on the 64-way block engine and are cross-checked
-/// against this one in tests/test_verify.cpp.
+/// returns the output values.  This is the scalar reference evaluator —
+/// gate by gate through `reversible_circuit::apply`, sharing no simulation
+/// code with the wide engine the verifiers below run on — and every width
+/// of that engine is cross-checked against it in tests/test_verify.cpp.
 std::vector<bool> evaluate_circuit( const reversible_circuit& circuit,
                                     const std::vector<bool>& inputs );
 
-/// Reusable 64-way bit-parallel simulator.  Line roles are resolved once at
-/// construction; every `evaluate` call then runs allocation-free over an
-/// internal state buffer.  The referenced circuit must outlive the
-/// simulator.
-class block_simulator
-{
-public:
-  explicit block_simulator( const reversible_circuit& circuit );
-
-  /// Simulates 64 packed input assignments.  `input_words[i]` carries input
-  /// variable i: bit j is its value in assignment j.  Returns one word per
-  /// output (same packing); the reference stays valid until the next call.
-  const std::vector<std::uint64_t>& evaluate( const std::vector<std::uint64_t>& input_words );
-
-  const std::vector<std::uint32_t>& input_lines() const { return in_lines_; }
-  const std::vector<std::uint32_t>& output_lines() const { return out_lines_; }
-
-private:
-  const reversible_circuit& circuit_;
-  std::vector<std::uint32_t> in_lines_;
-  std::vector<std::uint32_t> out_lines_;
-  std::vector<std::uint64_t> init_state_; ///< constants broadcast to words
-  std::vector<std::uint64_t> state_;
-  std::vector<std::uint64_t> outputs_;
-};
-
-/// One-shot convenience wrapper around `block_simulator`: simulates 64
-/// packed input assignments and returns one word per output.
-std::vector<std::uint64_t> evaluate_circuit_block( const reversible_circuit& circuit,
-                                                   const std::vector<std::uint64_t>& input_words );
-
-/// Exhaustively checks the circuit against output truth tables, 64
-/// assignments per simulated word (2^inputs/64 sweeps; inputs <= 24).
+/// Exhaustively checks the circuit against output truth tables in counter
+/// order, one lane group per pass (inputs <= 24).
 bool verify_against_truth_tables( const reversible_circuit& circuit,
                                   const std::vector<truth_table>& outputs );
 
 /// Exhaustively checks the circuit against an AIG over all 2^inputs
-/// assignments (inputs <= 24), 64 per simulated word, in counter order.
+/// assignments (inputs <= 24), one lane group per pass, in counter order.
 /// Returns the first failing input assignment if any — a proof of
 /// equivalence when it returns nullopt.
 std::optional<std::vector<bool>> verify_against_aig_exhaustive( const reversible_circuit& circuit,
@@ -160,20 +130,6 @@ partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circ
                                                            const deadline& stop,
                                                            unsigned num_samples,
                                                            std::uint64_t seed, sim_width width );
-
-/// The retained 64-bit scalar engines (`block_simulator` +
-/// `aig_network::simulate_patterns`, one 64-assignment block per pass) —
-/// the differential oracle every wide path is pinned against in
-/// tests/test_verify.cpp and the baseline `bench_verify` measures wide
-/// speedups over.  Same contract as the corresponding `_budgeted` tiers.
-partial_verify_report verify_against_aig_exhaustive_block64( const reversible_circuit& circuit,
-                                                             const aig_network& aig,
-                                                             const deadline& stop );
-partial_verify_report verify_against_aig_sampled_block64( const reversible_circuit& circuit,
-                                                          const aig_network& aig,
-                                                          const deadline& stop,
-                                                          unsigned num_samples = 256,
-                                                          std::uint64_t seed = 1 );
 
 /// Cross-circuit batched verification of one sweep frontier: checks every
 /// candidate circuit against the same specification AIG in a single

@@ -167,7 +167,7 @@ bool simd_backend_compiled( simd_backend backend )
 simd_backend active_simd_backend( sim_width width )
 {
   // A single 64-bit word per group leaves nothing for a vector register to
-  // do; w64 always runs the portable scalar words (== block_simulator ops).
+  // do; w64 always runs the portable scalar words.
   if ( width == sim_width::w64 )
   {
     return simd_backend::portable;

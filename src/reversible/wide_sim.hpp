@@ -2,13 +2,13 @@
 /// \brief Width-generic bit-parallel simulation: 64/256/512 assignments per
 /// gate pass, with runtime-dispatched portable / AVX2 / AVX-512 kernels.
 ///
-/// The 64-way `block_simulator` (verify.hpp) packs one `uint64_t` word per
-/// circuit line.  The wide engine generalizes the word to a *lane group* of
-/// `W` consecutive 64-bit words per line (`sim_width`: W = 1, 4, or 8 —
-/// 64, 256, or 512 assignments per gate pass).  Lane semantics are
-/// unchanged: word k, bit j of a group is assignment `k * 64 + j` of the
-/// batch, so every width produces bit-identical verdicts and the same
-/// first-counterexample as the 64-bit engine; only the wall clock changes.
+/// The engine packs a *lane group* of `W` consecutive 64-bit words per
+/// circuit line (`sim_width`: W = 1, 4, or 8 — 64, 256, or 512 assignments
+/// per gate pass).  Word k, bit j of a group is assignment `k * 64 + j` of
+/// the batch, so every width produces bit-identical verdicts and the same
+/// first counterexample; only the wall clock changes.  This is the only
+/// simulation engine of the verification tiers (verify.hpp); its
+/// independent oracle is the scalar `evaluate_circuit`.
 ///
 /// Width and backend are independent axes:
 ///   * **width** (`sim_width`) is a runtime parameter — tests exercise all
@@ -92,11 +92,11 @@ simd_backend active_simd_backend( sim_width width );
 void simd_and2_masked( std::uint64_t* dst, const std::uint64_t* a, std::uint64_t invert_a,
                        const std::uint64_t* b, std::uint64_t invert_b, std::size_t num_words );
 
-/// Reusable width-generic circuit simulator — the lane-abstracted
-/// generalization of `block_simulator`.  The gate list is flattened once at
-/// construction (targets, control lines, polarity masks in flat arrays);
-/// every `evaluate` call then runs allocation-free and branch-free over the
-/// dispatched kernel.  The referenced circuit must outlive the simulator.
+/// Reusable width-generic circuit simulator.  The gate list is flattened
+/// once at construction (targets, control lines, polarity masks in flat
+/// arrays); every `evaluate` call then runs allocation-free and
+/// branch-free over the dispatched kernel.  The referenced circuit must
+/// outlive the simulator.
 class wide_simulator
 {
 public:

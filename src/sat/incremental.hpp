@@ -21,8 +21,7 @@
 ///    assumption proves the equality from the encoding alone), which
 ///    accelerates every later call that reaches the same cone.
 ///  * **Simulation-guided fraiging.**  Every internal node carries a 64-way
-///    bit-parallel signature (the block-simulation idiom of
-///    `evaluate_circuit_block`: one 64-bit pattern word per signature
+///    bit-parallel signature (one 64-bit pattern word per signature
 ///    column, word-AND/word-NOT over fanins).  Signature-equal node pairs
 ///    become candidate equivalences that are proven or refuted — free
 ///    structural/window proofs first, then a budgeted SAT attempt on the

@@ -119,7 +119,7 @@ TEST( dse_label, default_sweep_labels_are_distinct )
   EXPECT_EQ( std::unique( sorted.begin(), sorted.end() ), sorted.end() );
 }
 
-// --- parallel cached explore == sequential seed path ------------------------
+// --- parallel cached explore == one run_flow_on_aig per configuration -------
 
 TEST( dse_engine, parallel_cached_matches_sequential_bit_for_bit )
 {
@@ -127,25 +127,21 @@ TEST( dse_engine, parallel_cached_matches_sequential_bit_for_bit )
       verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 5 ) );
   const auto configs = default_dse_configurations( true );
 
-  explore_options sequential;
-  sequential.num_threads = 1;
-  sequential.use_cache = false;
-  const auto seq = explore( mod.aig, configs, sequential );
-
   explore_options parallel;
   parallel.num_threads = 4;
   flow_artifact_cache cache;
-  const auto par = explore( mod.aig, configs, parallel, cache );
+  const auto par = explore( mod.aig, configs, parallel, &cache );
 
-  ASSERT_EQ( seq.size(), par.size() );
-  for ( std::size_t i = 0; i < seq.size(); ++i )
+  ASSERT_EQ( configs.size(), par.size() );
+  for ( std::size_t i = 0; i < configs.size(); ++i )
   {
-    EXPECT_EQ( seq[i].label, par[i].label ) << i;
-    EXPECT_EQ( seq[i].result.costs.qubits, par[i].result.costs.qubits ) << seq[i].label;
-    EXPECT_EQ( seq[i].result.costs.t_count, par[i].result.costs.t_count ) << seq[i].label;
-    EXPECT_EQ( seq[i].result.costs.gates, par[i].result.costs.gates ) << seq[i].label;
-    EXPECT_EQ( seq[i].result.esop_terms, par[i].result.esop_terms ) << seq[i].label;
-    EXPECT_TRUE( par[i].result.verified ) << seq[i].label;
+    const auto seq = run_flow_on_aig( mod.aig, configs[i] );
+    EXPECT_EQ( dse_label( configs[i] ), par[i].label ) << i;
+    EXPECT_EQ( seq.costs.qubits, par[i].result.costs.qubits ) << par[i].label;
+    EXPECT_EQ( seq.costs.t_count, par[i].result.costs.t_count ) << par[i].label;
+    EXPECT_EQ( seq.costs.gates, par[i].result.costs.gates ) << par[i].label;
+    EXPECT_EQ( seq.esop_terms, par[i].result.esop_terms ) << par[i].label;
+    EXPECT_TRUE( par[i].result.verified ) << par[i].label;
   }
   // One miss per distinct artifact (optimized AIG, functional, ESOP, XMG),
   // everything else hits.

@@ -21,6 +21,7 @@
 #include "common/budget.hpp"
 #include "common/fault_injection.hpp"
 #include "common/thread_pool.hpp"
+#include "common/timer.hpp"
 #include "core/dse.hpp"
 #include "reversible/verify.hpp"
 #include "rsynth/tbs.hpp"
@@ -559,6 +560,49 @@ TEST( robustness_dse, unlimited_budgets_are_bit_identical_to_the_default )
 }
 
 // --- Verilog diagnostics: file/line/token context ----------------------------
+
+TEST( robustness_dse, batch_verify_runs_each_point_under_its_own_deadline )
+{
+  // Regression: the frontier batch pass grouped deferred points by
+  // (spec artifact, tier) and ran a whole group under its first member's
+  // deadline, so one configuration's `limits.deadline_seconds` decided
+  // another configuration's verification.  Here an ESOP point with a finite
+  // deadline leads a group that also holds an unlimited hierarchical point.
+  // The deadline sits midway between the ESOP configuration's own finish
+  // and the end of the graph: the ESOP tail synthesizes in time, the batch
+  // pass starts after it expired, and the unlimited point must still be
+  // verified in full, exactly as `run_flow_on_aig` verifies it.
+  const auto mod =
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 10 ) );
+  flow_params esop;
+  esop.kind = flow_kind::esop_based;
+  esop.esop_p = 0;
+  flow_params hier;
+  hier.kind = flow_kind::hierarchical;
+  hier.cleanup = cleanup_strategy::bennett;
+  hier.cut_size = 6;
+  explore_options options;
+  options.num_threads = 1; // one worker: the ESOP chain runs before the XMG chain
+
+  stopwatch watch;
+  const auto unlimited = explore( mod.aig, { esop, hier }, options );
+  const auto both_seconds = watch.elapsed_seconds();
+  watch.restart();
+  (void)explore( mod.aig, { esop }, options );
+  const auto esop_seconds = watch.elapsed_seconds();
+  ASSERT_EQ( unlimited[1].result.status, flow_status::ok );
+
+  esop.limits.deadline_seconds = 0.5 * ( esop_seconds + both_seconds );
+  const auto points = explore( mod.aig, { esop, hier }, options );
+  const auto want = run_flow_on_aig( mod.aig, hier );
+  const auto& got = points[1].result;
+  EXPECT_EQ( got.status, flow_status::ok ) << got.status_detail;
+  EXPECT_TRUE( got.verified );
+  EXPECT_EQ( got.verified_with, want.verified_with );
+  EXPECT_EQ( got.verify_samples_requested, want.verify_samples_requested );
+  EXPECT_EQ( got.verify_samples_completed, want.verify_samples_completed );
+  EXPECT_EQ( got.verify_samples_completed, got.verify_samples_requested );
+}
 
 TEST( robustness_verilog, parser_errors_carry_file_line_and_token )
 {

@@ -6,8 +6,11 @@
 ///   * a task graph respects every dependency edge, coalesces shared keys
 ///     onto one in-flight task, and isolates failure to the failing task's
 ///     transitive dependents — with the original task's key as blame,
-///   * graph-scheduled explorations are bit-identical to the tail-only
-///     engine on every flow kind, for single designs and whole batches,
+///   * graph-scheduled explorations are bit-identical to the independent
+///     oracle — one `run_flow_on_aig` call per configuration, in order —
+///     on every flow kind and verification tier, for single designs and
+///     whole batches (circuits, costs, verdicts, counterexamples, coverage
+///     and status, including the frontier batch-verified points),
 ///   * stage failures stay attributable per point: the status detail names
 ///     the artifact key and stage that failed, shared task or not.
 
@@ -68,12 +71,72 @@ struct fault_guard
   ~fault_guard() { fault_injection::disarm_all(); }
 };
 
-bool same_costs( const dse_point& a, const dse_point& b )
+/// The independent scheduler oracle: one `run_flow_on_aig` call per
+/// configuration, in order, each on its own private cache — no graph, no
+/// shared artifacts, no deferred verification.
+std::vector<flow_result> sequential_flows( const aig_network& aig,
+                                           const std::vector<flow_params>& configs )
 {
-  return a.label == b.label && a.result.costs.qubits == b.result.costs.qubits &&
-         a.result.costs.t_count == b.result.costs.t_count &&
-         a.result.costs.gates == b.result.costs.gates &&
-         a.result.esop_terms == b.result.esop_terms;
+  std::vector<flow_result> results;
+  results.reserve( configs.size() );
+  for ( const auto& config : configs )
+  {
+    results.push_back( run_flow_on_aig( aig, config ) );
+  }
+  return results;
+}
+
+bool same_circuit( const reversible_circuit& a, const reversible_circuit& b )
+{
+  if ( a.num_lines() != b.num_lines() || a.num_gates() != b.num_gates() )
+  {
+    return false;
+  }
+  for ( unsigned l = 0; l < a.num_lines(); ++l )
+  {
+    const auto& x = a.line( l );
+    const auto& y = b.line( l );
+    if ( x.is_primary_input != y.is_primary_input || x.is_constant_input != y.is_constant_input ||
+         x.constant_value != y.constant_value || x.output_index != y.output_index ||
+         x.is_garbage != y.is_garbage )
+    {
+      return false;
+    }
+  }
+  for ( std::size_t g = 0; g < a.num_gates(); ++g )
+  {
+    if ( a.gates()[g].target != b.gates()[g].target ||
+         !( a.gates()[g].controls == b.gates()[g].controls ) )
+    {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Whole-result identity of an explored point against the oracle's result
+/// for the same configuration: circuit gate by gate, costs, intermediate
+/// statistics, the verification report and the status record.
+void expect_same_result( const dse_point& got, const flow_result& want, const flow_params& config,
+                         const std::string& context )
+{
+  const auto& r = got.result;
+  EXPECT_EQ( got.label, dse_label( config ) ) << context;
+  EXPECT_TRUE( same_circuit( r.circuit, want.circuit ) ) << context;
+  EXPECT_EQ( r.costs.qubits, want.costs.qubits ) << context;
+  EXPECT_EQ( r.costs.t_count, want.costs.t_count ) << context;
+  EXPECT_EQ( r.costs.gates, want.costs.gates ) << context;
+  EXPECT_EQ( r.esop_terms, want.esop_terms ) << context;
+  EXPECT_EQ( r.xmg_maj, want.xmg_maj ) << context;
+  EXPECT_EQ( r.xmg_xor, want.xmg_xor ) << context;
+  EXPECT_EQ( r.verified, want.verified ) << context;
+  EXPECT_EQ( r.verified_with, want.verified_with ) << context;
+  EXPECT_EQ( r.counterexample, want.counterexample ) << context;
+  EXPECT_EQ( r.verify_complete, want.verify_complete ) << context;
+  EXPECT_EQ( r.verify_downgraded, want.verify_downgraded ) << context;
+  EXPECT_EQ( r.verify_samples_requested, want.verify_samples_requested ) << context;
+  EXPECT_EQ( r.verify_samples_completed, want.verify_samples_completed ) << context;
+  EXPECT_EQ( r.status, want.status ) << context << ": " << r.status_detail;
 }
 
 std::string what_of( const std::exception_ptr& error )
@@ -489,41 +552,46 @@ TEST( scheduler_graph, flow_tasks_read_their_deadline_when_they_run )
 
 // --- graph-scheduled DSE -----------------------------------------------------
 
-TEST( scheduler_dse, task_graph_matches_tail_only_bit_for_bit )
+TEST( scheduler_dse, task_graph_matches_sequential_run_flow_bit_for_bit )
 {
   const auto mod =
       verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 5 ) );
-  const auto configs = default_dse_configurations( true );
-
-  // The seed sequential path: uncached, inline, tail-only.
-  explore_options sequential;
-  sequential.scheduler = schedule_mode::tail_only;
-  sequential.num_threads = 1;
-  sequential.use_cache = false;
-  const auto seq = explore( mod.aig, configs, sequential );
-
-  // The graph engine at the fixture-pinned default worker count.
-  explore_options graphed; // scheduler = task_graph, num_threads = default
-  flow_artifact_cache cache;
-  task_graph_stats stats;
-  const auto par = explore( mod.aig, configs, graphed, cache, deadline{}, stats );
-
-  ASSERT_EQ( seq.size(), par.size() );
-  for ( std::size_t i = 0; i < seq.size(); ++i )
+  // Every verification tier: the graph defers the sampled and exhaustive
+  // checks to the frontier batch pass and shares one SAT engine across the
+  // sweep, while the oracle verifies each configuration inline on its own.
+  for ( const auto tier : { verify_mode::sampled, verify_mode::exhaustive, verify_mode::sat } )
   {
-    EXPECT_TRUE( same_costs( seq[i], par[i] ) ) << seq[i].label;
-    EXPECT_TRUE( par[i].result.verified ) << par[i].label;
+    auto configs = default_dse_configurations( true );
+    for ( auto& config : configs )
+    {
+      config.verification = tier;
+    }
+    const auto want = sequential_flows( mod.aig, configs );
+
+    // The graph engine at the fixture-pinned default worker count.
+    flow_artifact_cache cache;
+    task_graph_stats stats;
+    const auto got = explore( mod.aig, configs, {}, &cache, &stats );
+
+    ASSERT_EQ( got.size(), want.size() );
+    for ( std::size_t i = 0; i < got.size(); ++i )
+    {
+      const auto context = verify_mode_name( tier ) + " " + got[i].label;
+      expect_same_result( got[i], want[i], configs[i], context );
+      EXPECT_TRUE( got[i].result.verified ) << context;
+      EXPECT_EQ( got[i].result.verified_with, tier ) << context;
+    }
+    // 7 configurations share 4 artifact tasks (optimize, collapse, esop,
+    // xmg): 11 tasks, all run, and the 10 duplicate artifact requests
+    // (6 optimize + 2 esop + 2 xmg) coalesce instead of recomputing.
+    EXPECT_EQ( cache.stats().misses, 4u );
+    EXPECT_EQ( stats.tasks_added, configs.size() + 4u );
+    EXPECT_EQ( stats.tasks_run, stats.tasks_added );
+    EXPECT_EQ( stats.coalesced, 10u );
+    EXPECT_EQ( stats.tasks_failed + stats.tasks_poisoned + stats.tasks_cancelled, 0u );
+    // The critical path is the lower bound of any schedule of this graph.
+    EXPECT_LE( stats.critical_path_seconds, stats.wall_seconds + 0.05 );
   }
-  // 7 configurations share 4 artifact tasks (optimize, collapse, esop,
-  // xmg): 11 tasks, all run, and the 10 duplicate artifact requests
-  // (6 optimize + 2 esop + 2 xmg) coalesce instead of recomputing.
-  EXPECT_EQ( cache.stats().misses, 4u );
-  EXPECT_EQ( stats.tasks_added, configs.size() + 4u );
-  EXPECT_EQ( stats.tasks_run, stats.tasks_added );
-  EXPECT_EQ( stats.coalesced, 10u );
-  EXPECT_EQ( stats.tasks_failed + stats.tasks_poisoned + stats.tasks_cancelled, 0u );
-  // The critical path is the lower bound of any schedule of this graph.
-  EXPECT_LE( stats.critical_path_seconds, stats.wall_seconds + 0.05 );
 }
 
 TEST( scheduler_dse, poisoned_points_name_the_failing_stage_task )
@@ -536,7 +604,7 @@ TEST( scheduler_dse, poisoned_points_name_the_failing_stage_task )
   options.num_threads = 1; // deterministic poll order: one xmg task, one poll
   fault_injection::arm( "flow.xmg", fault_injection::kind::fail, 0, 1 );
   flow_artifact_cache cache;
-  const auto points = explore( mod.aig, configs, options, cache );
+  const auto points = explore( mod.aig, configs, options, &cache );
   fault_injection::disarm_all();
 
   for ( const auto& point : points )
@@ -561,68 +629,34 @@ TEST( scheduler_dse, poisoned_points_name_the_failing_stage_task )
   }
 }
 
-TEST( scheduler_dse, tail_only_stage_errors_carry_key_and_stage )
+TEST( scheduler_dse, batch_graph_matches_sequential_run_flow_bit_for_bit )
 {
-  fault_guard guard;
-  const auto mod =
-      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 5 ) );
-  const auto configs = default_dse_configurations( true );
-  explore_options options;
-  options.scheduler = schedule_mode::tail_only;
-  options.num_threads = 1;
-  // Tail-only prefetches the failing stage once per hierarchical config.
-  fault_injection::arm( "flow.xmg", fault_injection::kind::fail, 0, 3 );
-  flow_artifact_cache cache;
-  const auto points = explore( mod.aig, configs, options, cache );
-  fault_injection::disarm_all();
-
-  for ( const auto& point : points )
-  {
-    if ( point.params.kind == flow_kind::hierarchical )
-    {
-      EXPECT_EQ( point.result.status, flow_status::failed ) << point.label;
-      EXPECT_NE( point.result.status_detail.find( "xmg[" ), std::string::npos )
-          << point.result.status_detail;
-      EXPECT_NE( point.result.status_detail.find( "(xmg)" ), std::string::npos )
-          << point.result.status_detail;
-      EXPECT_NE( point.result.status_detail.find( "flow.xmg" ), std::string::npos )
-          << point.result.status_detail;
-    }
-    else
-    {
-      EXPECT_EQ( point.result.status, flow_status::ok ) << point.label;
-    }
-  }
-}
-
-TEST( scheduler_dse, batch_graph_matches_serial_sweep_bit_for_bit )
-{
-  explore_options serial;
-  serial.scheduler = schedule_mode::tail_only;
-  serial.num_threads = 1;
-  const auto expect = explore_designs( { reciprocal_design::intdiv,
-                                         reciprocal_design::newton },
-                                       5, 5, serial );
-
   explore_options graphed; // one graph for the whole batch, default workers
   task_graph_stats stats;
   const auto got = explore_designs( { reciprocal_design::intdiv,
                                       reciprocal_design::newton },
                                     5, 5, graphed, stats );
 
-  ASSERT_EQ( expect.size(), got.size() );
-  for ( std::size_t d = 0; d < expect.size(); ++d )
+  ASSERT_EQ( got.size(), 2u );
+  for ( const auto& design : got )
   {
-    EXPECT_EQ( expect[d].name, got[d].name );
-    EXPECT_EQ( expect[d].status, got[d].status ) << got[d].name;
-    ASSERT_EQ( expect[d].points.size(), got[d].points.size() ) << got[d].name;
-    for ( std::size_t i = 0; i < expect[d].points.size(); ++i )
+    EXPECT_EQ( design.status, flow_status::ok ) << design.name << ": " << design.status_detail;
+    const auto mod = verilog::elaborate_verilog( reciprocal_verilog( design.design, 5 ) );
+    // The configurations `explore_designs` sweeps at n = 5 with the
+    // default options: functional included, sampled verification.
+    const auto configs = default_dse_configurations( true );
+    const auto want = sequential_flows( mod.aig, configs );
+    ASSERT_EQ( design.points.size(), want.size() ) << design.name;
+    for ( std::size_t i = 0; i < want.size(); ++i )
     {
-      EXPECT_TRUE( same_costs( expect[d].points[i], got[d].points[i] ) )
-          << got[d].name << " " << got[d].points[i].label;
+      expect_same_result( design.points[i], want[i], configs[i],
+                          design.name + " " + design.points[i].label );
     }
-    EXPECT_EQ( expect[d].cache.misses, got[d].cache.misses ) << got[d].name;
+    // One computation per distinct artifact (optimize, collapse, esop, xmg).
+    EXPECT_EQ( design.cache.misses, 4u ) << design.name;
   }
+  EXPECT_EQ( got[0].name, "INTDIV(5)" );
+  EXPECT_EQ( got[1].name, "NEWTON(5)" );
   // Per design: 1 elaborate + 4 artifacts + 7 tails; two designs, one graph.
   EXPECT_EQ( stats.tasks_added, 24u );
   EXPECT_EQ( stats.tasks_run, 24u );

@@ -1,12 +1,14 @@
-/// Word-level (64-way bit-parallel) verification engine vs. the scalar
-/// `evaluate_circuit` oracle, plus the exhaustive / sampled / SAT tiers
-/// built on top of it.
+/// The wide bit-parallel simulation engine (every lane width, whichever
+/// SIMD backend the build dispatches to) vs. the scalar `evaluate_circuit`
+/// oracle, plus the exhaustive / sampled / SAT tiers built on top of it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -108,9 +110,35 @@ std::vector<bool> counter_assignment( std::uint64_t x, unsigned num_inputs )
 
 } // namespace
 
-// --- block evaluator vs. scalar oracle ---------------------------------------
+// --- wide simulator vs. scalar oracle --------------------------------------
 
-TEST( verify_block, matches_scalar_on_random_circuits )
+namespace
+{
+
+constexpr sim_width all_widths[] = { sim_width::w64, sim_width::w256, sim_width::w512 };
+
+/// Lays out one 64-assignment batch per word of a lane group, input-major
+/// (`words[i * W + k]` = word k of input i), the layout `wide_simulator`
+/// takes.
+std::vector<std::uint64_t> pack_group( const std::vector<std::vector<std::vector<bool>>>& batches,
+                                       unsigned num_inputs )
+{
+  const auto W = batches.size();
+  std::vector<std::uint64_t> words( num_inputs * W );
+  for ( std::size_t k = 0; k < W; ++k )
+  {
+    const auto packed = pack( batches[k], num_inputs );
+    for ( unsigned i = 0; i < num_inputs; ++i )
+    {
+      words[i * W + k] = packed[i];
+    }
+  }
+  return words;
+}
+
+} // namespace
+
+TEST( verify_wide_sim, matches_scalar_on_random_circuits_at_every_width )
 {
   std::mt19937_64 rng( 11 );
   for ( int instance = 0; instance < 40; ++instance )
@@ -119,57 +147,83 @@ TEST( verify_block, matches_scalar_on_random_circuits )
     const unsigned num_inputs = 1u + rng() % num_lines;
     const auto circuit = random_circuit( rng, num_lines, 1u + rng() % 40u, num_inputs );
 
-    std::vector<std::vector<bool>> batch;
-    for ( unsigned j = 0; j < 64u; ++j )
+    for ( const auto width : all_widths )
     {
-      batch.push_back( random_assignment( rng, num_inputs ) );
-    }
-    const auto words = evaluate_circuit_block( circuit, pack( batch, num_inputs ) );
-    for ( unsigned j = 0; j < 64u; ++j )
-    {
-      const auto expected = evaluate_circuit( circuit, batch[j] );
-      ASSERT_EQ( words.size(), expected.size() );
-      for ( std::size_t o = 0; o < expected.size(); ++o )
+      const auto W = words_of( width );
+      std::vector<std::vector<std::vector<bool>>> batches( W );
+      for ( auto& batch : batches )
       {
-        EXPECT_EQ( ( words[o] >> j ) & 1u, static_cast<std::uint64_t>( expected[o] ) )
-            << "instance " << instance << " lane " << j << " output " << o;
-      }
-    }
-  }
-}
-
-TEST( verify_block, matches_scalar_exhaustively_up_to_ten_inputs )
-{
-  std::mt19937_64 rng( 23 );
-  for ( const unsigned num_inputs : { 1u, 2u, 5u, 6u, 7u, 10u } )
-  {
-    const unsigned num_lines = num_inputs + 1u + rng() % 3u;
-    const auto circuit = random_circuit( rng, num_lines, 25u, num_inputs );
-    block_simulator sim( circuit );
-    const std::uint64_t space = std::uint64_t{ 1 } << num_inputs;
-    for ( std::uint64_t base = 0; base < space; base += 64u )
-    {
-      const auto lanes = std::min<std::uint64_t>( 64u, space - base );
-      std::vector<std::vector<bool>> batch;
-      for ( std::uint64_t j = 0; j < lanes; ++j )
-      {
-        batch.push_back( counter_assignment( base + j, num_inputs ) );
-      }
-      const auto words = sim.evaluate( pack( batch, num_inputs ) );
-      for ( std::uint64_t j = 0; j < lanes; ++j )
-      {
-        const auto expected = evaluate_circuit( circuit, batch[j] );
-        for ( std::size_t o = 0; o < expected.size(); ++o )
+        for ( unsigned j = 0; j < 64u; ++j )
         {
-          EXPECT_EQ( ( words[o] >> j ) & 1u, static_cast<std::uint64_t>( expected[o] ) )
-              << "n=" << num_inputs << " x=" << base + j << " output " << o;
+          batch.push_back( random_assignment( rng, num_inputs ) );
+        }
+      }
+      wide_simulator sim( circuit, width );
+      ASSERT_EQ( sim.width(), width );
+      const auto& words = sim.evaluate( pack_group( batches, num_inputs ) );
+      for ( unsigned k = 0; k < W; ++k )
+      {
+        for ( unsigned j = 0; j < 64u; ++j )
+        {
+          const auto expected = evaluate_circuit( circuit, batches[k][j] );
+          ASSERT_EQ( words.size(), expected.size() * W );
+          for ( std::size_t o = 0; o < expected.size(); ++o )
+          {
+            EXPECT_EQ( ( words[o * W + k] >> j ) & 1u, static_cast<std::uint64_t>( expected[o] ) )
+                << "instance " << instance << " width " << lanes_of( width ) << " word " << k
+                << " lane " << j << " output " << o;
+          }
         }
       }
     }
   }
 }
 
-TEST( verify_block, constant_ancilla_values_are_broadcast )
+TEST( verify_wide_sim, matches_scalar_exhaustively_up_to_ten_inputs_at_every_width )
+{
+  std::mt19937_64 rng( 23 );
+  for ( const unsigned num_inputs : { 1u, 2u, 5u, 6u, 7u, 10u } )
+  {
+    const unsigned num_lines = num_inputs + 1u + rng() % 3u;
+    const auto circuit = random_circuit( rng, num_lines, 25u, num_inputs );
+    const std::uint64_t space = std::uint64_t{ 1 } << num_inputs;
+    for ( const auto width : all_widths )
+    {
+      const auto W = words_of( width );
+      wide_simulator sim( circuit, width );
+      for ( std::uint64_t base = 0; base < space; base += lanes_of( width ) )
+      {
+        // Counter order across the group; lanes past the space repeat
+        // assignment 0 and are not checked.
+        std::vector<std::vector<std::vector<bool>>> batches( W );
+        for ( unsigned k = 0; k < W; ++k )
+        {
+          for ( unsigned j = 0; j < 64u; ++j )
+          {
+            const auto x = base + k * 64u + j;
+            batches[k].push_back( counter_assignment( x < space ? x : 0u, num_inputs ) );
+          }
+        }
+        const auto& words = sim.evaluate( pack_group( batches, num_inputs ) );
+        for ( unsigned k = 0; k < W; ++k )
+        {
+          for ( unsigned j = 0; j < 64u && base + k * 64u + j < space; ++j )
+          {
+            const auto expected = evaluate_circuit( circuit, batches[k][j] );
+            for ( std::size_t o = 0; o < expected.size(); ++o )
+            {
+              EXPECT_EQ( ( words[o * W + k] >> j ) & 1u, static_cast<std::uint64_t>( expected[o] ) )
+                  << "n=" << num_inputs << " width " << lanes_of( width )
+                  << " x=" << base + k * 64u + j << " output " << o;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST( verify_wide_sim, constant_ancilla_values_are_broadcast )
 {
   // out = (1 AND x0) XOR x1 realized with a constant-1 ancilla as control.
   reversible_circuit circuit( 3 );
@@ -180,18 +234,37 @@ TEST( verify_block, constant_ancilla_values_are_broadcast )
   circuit.line( 1 ).output_index = 0;
   circuit.line( 1 ).is_garbage = false;
   circuit.add_toffoli( 0, 2, 1 ); // fires iff x0 (ancilla is constant 1)
-  const auto words =
-      evaluate_circuit_block( circuit, { projections[0], projections[1] } );
-  ASSERT_EQ( words.size(), 1u );
-  EXPECT_EQ( words[0], projections[0] ^ projections[1] );
+  for ( const auto width : all_widths )
+  {
+    const auto W = words_of( width );
+    wide_simulator sim( circuit, width );
+    std::vector<std::uint64_t> words( 2u * W );
+    for ( unsigned k = 0; k < W; ++k )
+    {
+      words[k] = projections[0];
+      words[W + k] = projections[1];
+    }
+    const auto& out = sim.evaluate( words );
+    ASSERT_EQ( out.size(), std::size_t{ W } );
+    for ( unsigned k = 0; k < W; ++k )
+    {
+      EXPECT_EQ( out[k], projections[0] ^ projections[1] ) << lanes_of( width ) << " word " << k;
+    }
+  }
 }
 
-TEST( verify_block, input_arity_mismatch_throws )
+TEST( verify_wide_sim, input_arity_mismatch_throws )
 {
   reversible_circuit circuit( 2 );
   circuit.line( 0 ).is_primary_input = true;
   circuit.line( 1 ).is_primary_input = true;
-  EXPECT_THROW( evaluate_circuit_block( circuit, { 0u } ), std::invalid_argument );
+  for ( const auto width : all_widths )
+  {
+    wide_simulator sim( circuit, width );
+    EXPECT_THROW( sim.evaluate( std::vector<std::uint64_t>( words_of( width ) ) ),
+                  std::invalid_argument )
+        << lanes_of( width );
+  }
 }
 
 // --- truth-table tier --------------------------------------------------------
@@ -307,7 +380,7 @@ TEST( verify_sampled, small_spaces_are_enumerated_exhaustively )
   // patterns.  Sampling could miss them; the exhaustive branch cannot, and
   // must return the first failing assignment x = 1, i.e. (1, 0).  This is
   // the regression contract for the counterexample format of the scalar
-  // enumeration the block engine replaced.
+  // enumeration the bit-parallel engine replaced.
   aig_network aig( 2 );
   aig.add_po( aig.create_and( aig.pi( 0 ), aig.pi( 1 ) ) );
 
@@ -414,18 +487,85 @@ TEST( verify_sat, interface_mismatch_throws )
   EXPECT_THROW( verify_against_aig_sat( circuit, aig ), std::invalid_argument );
 }
 
-// --- SIMD-wide engine vs. the 64-bit scalar oracle ---------------------------
+// --- verification tiers vs. the scalar oracle -------------------------------
 //
-// The differential harness of the wide simulation engine: every wide path
-// (all three lane widths, whichever SIMD backend the build dispatches to)
-// is pinned against the retained 64-bit scalar engine — bit-identical
-// verdicts, counterexamples, and coverage accounting, ragged tails and
-// constant ancillae included.
+// The differential harness of the simulation tiers: every width (whichever
+// SIMD backend the build dispatches to) is pinned against a scalar
+// enumeration that evaluates one assignment at a time through
+// `evaluate_circuit` and `aig_network::evaluate` — bit-identical verdicts,
+// counterexamples, and coverage accounting, ragged tails and constant
+// ancillae included.
 
 namespace
 {
 
-constexpr sim_width all_widths[] = { sim_width::w64, sim_width::w256, sim_width::w512 };
+/// Scalar oracle of the exhaustive tier: counter order, one assignment at
+/// a time, stopping at the first difference.
+partial_verify_report scalar_exhaustive_report( const reversible_circuit& circuit,
+                                                const aig_network& spec )
+{
+  const auto num_inputs = spec.num_pis();
+  partial_verify_report report;
+  report.assignments_requested = std::uint64_t{ 1 } << num_inputs;
+  for ( std::uint64_t x = 0; x < report.assignments_requested; ++x )
+  {
+    const auto assignment = counter_assignment( x, num_inputs );
+    ++report.assignments_completed;
+    if ( evaluate_circuit( circuit, assignment ) != spec.evaluate( assignment ) )
+    {
+      report.counterexample = assignment;
+      break;
+    }
+  }
+  return report;
+}
+
+/// Scalar oracle of the sampled tier.  It reproduces the tier's pattern
+/// stream: one rng word per input per 64-lane block, blocks in order,
+/// inputs in order, lane 0 of the first block pinned to all-zero and lane 1
+/// to all-one.  Each lane is then checked as one scalar assignment.  Small
+/// spaces delegate to the exhaustive enumeration, like the tier does.
+partial_verify_report scalar_sampled_report( const reversible_circuit& circuit,
+                                             const aig_network& spec, unsigned num_samples,
+                                             std::uint64_t seed )
+{
+  const auto num_inputs = spec.num_pis();
+  if ( num_inputs <= 24u && ( std::uint64_t{ 1 } << num_inputs ) <= num_samples )
+  {
+    return scalar_exhaustive_report( circuit, spec );
+  }
+  std::mt19937_64 rng( seed );
+  partial_verify_report report;
+  report.assignments_requested = std::uint64_t{ num_samples } + 2u;
+  std::vector<std::uint64_t> words( num_inputs );
+  for ( std::uint64_t base = 0; base < report.assignments_requested; base += 64u )
+  {
+    for ( auto& w : words )
+    {
+      w = rng();
+      if ( base == 0 )
+      {
+        w = ( w & ~std::uint64_t{ 3 } ) | 2u;
+      }
+    }
+    const auto lanes = std::min<std::uint64_t>( 64u, report.assignments_requested - base );
+    for ( unsigned j = 0; j < lanes; ++j )
+    {
+      std::vector<bool> assignment( num_inputs );
+      for ( unsigned i = 0; i < num_inputs; ++i )
+      {
+        assignment[i] = ( words[i] >> j ) & 1u;
+      }
+      ++report.assignments_completed;
+      if ( evaluate_circuit( circuit, assignment ) != spec.evaluate( assignment ) )
+      {
+        report.counterexample = assignment;
+        return report;
+      }
+    }
+  }
+  return report;
+}
 
 /// Full report equality: verdict, counterexample, and the per-assignment
 /// coverage accounting must match the oracle exactly.
@@ -449,51 +589,6 @@ reversible_circuit corrupt_first_output( const reversible_circuit& circuit )
 
 } // namespace
 
-TEST( verify_wide, wide_simulator_matches_block_simulator_at_every_width )
-{
-  std::mt19937_64 rng( 211 );
-  for ( int instance = 0; instance < 12; ++instance )
-  {
-    const unsigned num_lines = 3u + rng() % 8u;
-    const unsigned num_inputs = 1u + rng() % num_lines;
-    const auto circuit = random_circuit( rng, num_lines, 1u + rng() % 35u, num_inputs );
-    block_simulator oracle( circuit );
-
-    for ( const auto width : all_widths )
-    {
-      const auto W = words_of( width );
-      wide_simulator sim( circuit, width );
-      ASSERT_EQ( sim.width(), width );
-
-      // One lane group of random assignments, laid out input-major.
-      std::vector<std::vector<std::uint64_t>> blocks( W );
-      std::vector<std::uint64_t> wide_words( std::size_t{ num_inputs } * W );
-      for ( unsigned k = 0; k < W; ++k )
-      {
-        blocks[k].resize( num_inputs );
-        for ( unsigned i = 0; i < num_inputs; ++i )
-        {
-          blocks[k][i] = rng();
-          wide_words[std::size_t{ i } * W + k] = blocks[k][i];
-        }
-      }
-      const auto& wide = sim.evaluate( wide_words );
-      const auto num_outputs = sim.output_lines().size();
-      for ( unsigned k = 0; k < W; ++k )
-      {
-        const auto expected = oracle.evaluate( blocks[k] );
-        ASSERT_EQ( wide.size(), expected.size() * W );
-        for ( std::size_t o = 0; o < num_outputs; ++o )
-        {
-          EXPECT_EQ( wide[o * W + k], expected[o] )
-              << "instance " << instance << " width " << lanes_of( width ) << " word " << k
-              << " output " << o;
-        }
-      }
-    }
-  }
-}
-
 TEST( verify_wide, exhaustive_reports_match_oracle_at_every_width )
 {
   std::mt19937_64 rng( 223 );
@@ -506,10 +601,10 @@ TEST( verify_wide, exhaustive_reports_match_oracle_at_every_width )
     const auto spec = circuit_to_aig( circuit );
     const auto corrupted = corrupt_first_output( circuit );
 
-    const auto pass_oracle = verify_against_aig_exhaustive_block64( circuit, spec, deadline{} );
+    const auto pass_oracle = scalar_exhaustive_report( circuit, spec );
     EXPECT_FALSE( pass_oracle.counterexample.has_value() ) << num_inputs;
     EXPECT_EQ( pass_oracle.assignments_completed, std::uint64_t{ 1 } << num_inputs );
-    const auto fail_oracle = verify_against_aig_exhaustive_block64( corrupted, spec, deadline{} );
+    const auto fail_oracle = scalar_exhaustive_report( corrupted, spec );
     ASSERT_TRUE( fail_oracle.counterexample.has_value() ) << num_inputs;
 
     for ( const auto width : all_widths )
@@ -584,10 +679,8 @@ TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
   {
     for ( const std::uint64_t seed : { 1u, 42u } )
     {
-      const auto pass_oracle =
-          verify_against_aig_sampled_block64( circuit, spec, deadline{}, num_samples, seed );
-      const auto fail_oracle =
-          verify_against_aig_sampled_block64( corrupted, spec, deadline{}, num_samples, seed );
+      const auto pass_oracle = scalar_sampled_report( circuit, spec, num_samples, seed );
+      const auto fail_oracle = scalar_sampled_report( corrupted, spec, num_samples, seed );
       ASSERT_TRUE( fail_oracle.counterexample.has_value() ) << num_samples;
       for ( const auto width : all_widths )
       {

@@ -10,19 +10,25 @@
 /// SIGTERM.  With --store, stage artifacts and full results persist
 /// across daemon restarts (and are shared with bench/CLI runs pointing at
 /// the same store root).  Synthesis runs on one shared work-stealing pool
-/// (--threads; 0 = hardware default, honoring QSYN_THREADS); identical
-/// concurrent queries coalesce into one synthesis; requests beyond
-/// --max-inflight and connections beyond --max-connections are rejected
-/// with code "busy" instead of queuing without bound.
+/// (--threads, at most 1024 like QSYN_THREADS; 0 = hardware default,
+/// honoring QSYN_THREADS); identical concurrent queries coalesce into one
+/// synthesis; requests beyond --max-inflight and connections beyond
+/// --max-connections are rejected with code "busy" instead of queuing
+/// without bound.  A malformed count (a sign, a value that overflows, a
+/// thread count above 1024) is a usage error, exit status 2.
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/thread_pool.hpp"
 #include "store/daemon.hpp"
 
 namespace
@@ -44,11 +50,19 @@ int usage( const char* argv0 )
   return 2;
 }
 
+/// Parses a plain decimal count.  Signs, whitespace and values that do not
+/// fit are rejected: `strtoull` alone would wrap "-1" to the largest
+/// value, which silently lifts a limit instead of refusing it.
 bool parse_size( const char* text, std::size_t& out )
 {
+  if ( !std::isdigit( static_cast<unsigned char>( text[0] ) ) )
+  {
+    return false;
+  }
   char* end = nullptr;
+  errno = 0;
   const auto value = std::strtoull( text, &end, 10 );
-  if ( end == text || *end != '\0' )
+  if ( errno == ERANGE || *end != '\0' )
   {
     return false;
   }
@@ -73,7 +87,8 @@ int main( int argc, char** argv )
     {
       options.store_root = argv[++i];
     }
-    else if ( arg == "--threads" && i + 1 < argc && parse_size( argv[++i], value ) )
+    else if ( arg == "--threads" && i + 1 < argc && parse_size( argv[++i], value ) &&
+              value <= qsyn::thread_pool::max_env_threads )
     {
       options.num_threads = static_cast<unsigned>( value );
     }
