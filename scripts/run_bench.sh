@@ -51,9 +51,9 @@
 # AddressSanitizer (QSYN_SANITIZE=address) — the wide engine is all raw
 # lane-group indexing and the store parses untrusted on-disk bytes — the
 # verification + robustness + scheduler + store suites under
-# UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon
-# suites under ThreadSanitizer (the daemon coalesces concurrent requests
-# on a shared pool).  Both sanitizer builds of test_verify compile with
+# UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
+# store suites under ThreadSanitizer (the daemon coalesces concurrent
+# requests on a shared pool; the artifact cache publishes each key once).  Both sanitizer builds of test_verify compile with
 # QSYN_SIMD=native so the AVX2/AVX-512 kernels themselves run
 # instrumented, not just the portable fallback.
 #
@@ -690,7 +690,8 @@ echo "test_robustness + test_scheduler + test_store + test_verify + test_truth_t
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j "$(nproc)" --target test_robustness test_scheduler test_daemon
+cmake --build "$TSAN_DIR" -j "$(nproc)" --target test_robustness test_scheduler test_daemon \
+  test_store
 "$TSAN_DIR/tests/test_robustness"
 # The scheduler suite under TSan runs at the pool widths the ctest fixtures
 # pin: stealing races only exist with >= 2 workers.
@@ -701,5 +702,9 @@ QSYN_THREADS=2 "$TSAN_DIR/tests/test_scheduler"
 # classes: its suite exercises those interleavings with real client
 # threads, so it runs instrumented for data races too.
 "$TSAN_DIR/tests/test_daemon"
+# The artifact cache's per-key publish-once cells: concurrent first
+# accesses of one key, a computation in flight beside stats and other
+# keys, and concurrent store readers and writers.
+"$TSAN_DIR/tests/test_store"
 echo
-echo "test_robustness + test_scheduler + test_daemon OK under ThreadSanitizer"
+echo "test_robustness + test_scheduler + test_daemon + test_store OK under ThreadSanitizer"

@@ -18,9 +18,10 @@
 ///   flow.collapse   — truth-table collapse stage (functional flow)
 ///   flow.esop       — ESOP extraction/minimization stage
 ///   flow.xmg        — XMG mapping stage (hierarchical flow)
-///   cache.hit       — artifact-cache hit (trip = treat as miss)
+///   cache.hit       — artifact-cache hit, every kind (trip = treat as miss)
 ///   verify.sat      — SAT verify tier (trip = budget exhausted)
 ///   dse.elaborate   — per-design elaboration in explore_designs
+///   daemon.elaborate — cold-design elaboration in qsynd (context_for)
 ///
 /// Arming supports `after_hits` (skip the first N polls) and `times`
 /// (fire at most N times, -1 = forever), making multi-threaded tests

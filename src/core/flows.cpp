@@ -116,26 +116,66 @@ flow_result functional_tail( const flow_artifact_cache::functional_artifact& art
   return result;
 }
 
-/// Store payload of an ESOP artifact: budget flag byte + cube list.
-std::vector<std::uint8_t> encode_esop_payload( const flow_artifact_cache::esop_artifact& art )
+/// Disk-tier payload kind of each artifact type.  The functional
+/// intermediate (truth tables + embedding) has none: it is exponential in
+/// the input count by construction, so it is only ever built for small
+/// designs where recomputing is cheap.
+template <class Artifact>
+constexpr std::optional<store::payload_kind> disk_kind{};
+template <>
+constexpr std::optional<store::payload_kind> disk_kind<aig_network> = store::payload_kind::aig;
+template <>
+constexpr std::optional<store::payload_kind> disk_kind<flow_artifact_cache::esop_artifact> =
+    store::payload_kind::esop;
+template <>
+constexpr std::optional<store::payload_kind> disk_kind<flow_artifact_cache::xmg_artifact> =
+    store::payload_kind::xmg;
+
+void write_payload( store::byte_writer& w, const aig_network& aig )
 {
-  store::byte_writer w;
-  w.u8( art.budget_exhausted ? 1u : 0u );
-  store::write_esop( w, art.expression );
-  return w.take();
+  store::write_aig( w, aig );
 }
 
-/// Store payload of an XMG artifact: graph + resynthesis statistics.
-std::vector<std::uint8_t> encode_xmg_payload( const flow_artifact_cache::xmg_artifact& art )
+void read_payload( store::byte_reader& r, aig_network& aig )
 {
-  store::byte_writer w;
+  aig = store::read_aig( r );
+}
+
+/// ESOP payload: budget flag byte + cube list.
+void write_payload( store::byte_writer& w, const flow_artifact_cache::esop_artifact& art )
+{
+  w.u8( art.budget_exhausted ? 1u : 0u );
+  store::write_esop( w, art.expression );
+}
+
+void read_payload( store::byte_reader& r, flow_artifact_cache::esop_artifact& art )
+{
+  art.budget_exhausted = r.u8() != 0u;
+  art.expression = store::read_esop( r );
+  art.terms = art.expression.num_terms();
+}
+
+/// XMG payload: graph + resynthesis statistics.
+void write_payload( store::byte_writer& w, const flow_artifact_cache::xmg_artifact& art )
+{
   store::write_xmg( w, art.graph );
   w.u64( art.stats.luts );
   w.u64( art.stats.direct_forms );
   w.u64( art.stats.pprm_forms );
   w.u64( art.stats.isop_forms );
-  return w.take();
 }
+
+void read_payload( store::byte_reader& r, flow_artifact_cache::xmg_artifact& art )
+{
+  art.graph = store::read_xmg( r );
+  art.stats.luts = r.u64();
+  art.stats.direct_forms = r.u64();
+  art.stats.pprm_forms = r.u64();
+  art.stats.isop_forms = r.u64();
+}
+
+/// Refresh hook of the kinds that never replace a published artifact.
+constexpr auto keep_published = []( const auto& ) { return nullptr; };
 
 } // namespace
 
@@ -144,7 +184,7 @@ std::vector<std::uint8_t> encode_xmg_payload( const flow_artifact_cache::xmg_art
 flow_artifact_cache::flow_artifact_cache() = default;
 flow_artifact_cache::~flow_artifact_cache() = default;
 
-void flow_artifact_cache::check_same_design( const aig_network& aig )
+void flow_artifact_cache::check_same_design( const aig_network& aig, std::uint64_t hash )
 {
   if ( !bound_ )
   {
@@ -152,7 +192,7 @@ void flow_artifact_cache::check_same_design( const aig_network& aig )
     bound_pis_ = aig.num_pis();
     bound_pos_ = aig.num_pos();
     bound_ands_ = aig.num_ands();
-    bound_hash_ = aig.content_hash();
+    bound_hash_ = hash;
     return;
   }
   // Cheap size pre-check first; the structural hash then catches
@@ -160,7 +200,7 @@ void flow_artifact_cache::check_same_design( const aig_network& aig )
   // fingerprint silently aliased (serving one design's artifacts for the
   // other).
   if ( aig.num_pis() != bound_pis_ || aig.num_pos() != bound_pos_ ||
-       aig.num_ands() != bound_ands_ || aig.content_hash() != bound_hash_ )
+       aig.num_ands() != bound_ands_ || hash != bound_hash_ )
   {
     throw std::invalid_argument(
         "flow_artifact_cache: cache is bound to one design AIG (structural content hash "
@@ -174,94 +214,125 @@ void flow_artifact_cache::attach_store( std::shared_ptr<store::artifact_store> d
   store_ = std::move( disk );
 }
 
-std::shared_ptr<store::artifact_store> flow_artifact_cache::attached_store() const
-{
-  std::lock_guard<std::mutex> lock( mutex_ );
-  return store_;
-}
-
 std::uint64_t flow_artifact_cache::design_hash() const
 {
   std::lock_guard<std::mutex> lock( mutex_ );
   return bound_ ? bound_hash_ : 0u;
 }
 
-const aig_network& flow_artifact_cache::optimized_locked( const aig_network& aig,
-                                                          unsigned rounds )
+template <class Artifact, class Compute, class Refresh>
+const Artifact& flow_artifact_cache::lookup( std::map<std::string, cell<Artifact>>& cells,
+                                             const aig_network& aig, const std::string& key,
+                                             Compute&& compute, Refresh&& refresh )
 {
-  check_same_design( aig );
-  const auto it = optimized_.find( rounds );
-  if ( it != optimized_.end() )
+  const auto hash = aig.content_hash(); // O(design): outside the cache mutex
+  cell<Artifact>* slot = nullptr;
+  std::shared_ptr<store::artifact_store> disk;
+  {
+    std::lock_guard<std::mutex> lock( mutex_ );
+    check_same_design( aig, hash );
+    slot = &cells[key];
+    disk = store_;
+  }
+
+  // From here on only this key's cell is held: a concurrent caller of the
+  // same key waits for the computation below, then counts a hit.
+  std::lock_guard<std::mutex> cell_lock( slot->mutex );
+  auto counter = &cache_stats::hits;
+  if ( !slot->value )
+  {
+    counter = &cache_stats::store_hits;
+    if constexpr ( disk_kind<Artifact>.has_value() )
+    {
+      const auto payload = disk ? disk->load( { hash, *disk_kind<Artifact>, key } ) : std::nullopt;
+      if ( payload )
+      {
+        try
+        {
+          store::byte_reader r( *payload );
+          auto art = std::make_shared<Artifact>();
+          read_payload( r, *art );
+          r.expect_end();
+          slot->value = std::move( art );
+        }
+        catch ( const store::deserialize_error& )
+        {
+          // malformed payload behind a valid header: recompute below
+        }
+      }
+    }
+  }
+  else if ( fault_injection::poll( "cache.hit" ) )
   {
     // An injected "cache.hit" trip forces this hit to behave like a miss:
     // the stage recomputes (and the recomputation is discarded — the
-    // cached artifact is never replaced, so concurrent readers holding
-    // references stay safe) and the miss is counted.
-    if ( fault_injection::poll( "cache.hit" ) )
-    {
-      ++stats_.misses;
-      const auto discarded = optimize( aig, rounds );
-      (void)discarded;
-      return it->second;
-    }
-    ++stats_.hits;
-    return it->second;
+    // published artifact is never replaced under readers) and the miss is
+    // counted.
+    (void)compute();
+    counter = &cache_stats::misses;
   }
-  const store::store_key skey{ bound_hash_, store::payload_kind::aig,
-                               optimize_artifact_key( rounds ) };
-  if ( store_ )
+  std::shared_ptr<const Artifact> superseded;
+  bool write_back = false;
+  if ( !slot->value )
   {
-    if ( const auto payload = store_->load( skey ) )
+    // A throwing computation publishes nothing: the next caller retries.
+    slot->value = std::make_shared<const Artifact>( compute() );
+    counter = &cache_stats::misses;
+    write_back = true;
+  }
+  else if ( auto replacement = refresh( *slot->value ) )
+  {
+    // The superseded object is retired, not destroyed, so references
+    // handed out earlier stay valid.
+    superseded = std::exchange( slot->value, std::move( replacement ) );
+    write_back = true;
+  }
+  {
+    std::lock_guard<std::mutex> lock( mutex_ );
+    ++( stats_.*counter );
+    if ( superseded )
     {
-      try
-      {
-        auto restored = store::deserialize_aig( *payload );
-        ++stats_.store_hits;
-        return optimized_.emplace( rounds, std::move( restored ) ).first->second;
-      }
-      catch ( const store::deserialize_error& )
-      {
-        // malformed payload behind a valid header: recompute below
-      }
+      retired_.push_back( std::move( superseded ) );
     }
   }
-  ++stats_.misses;
-  fault_injection::poll( "flow.optimize" );
-  const auto& art = optimized_.emplace( rounds, optimize( aig, rounds ) ).first->second;
-  if ( store_ )
+  if constexpr ( disk_kind<Artifact>.has_value() )
   {
-    store_->save( skey, store::serialize_aig( art ) );
+    if ( disk && write_back )
+    {
+      store::byte_writer w;
+      write_payload( w, *slot->value );
+      disk->save( { hash, *disk_kind<Artifact>, key }, w.take() );
+    }
   }
-  return art;
+  return *slot->value;
 }
 
 const aig_network& flow_artifact_cache::optimized( const aig_network& aig, unsigned rounds )
 {
-  std::lock_guard<std::mutex> lock( mutex_ );
-  return optimized_locked( aig, rounds );
+  return lookup(
+      optimized_, aig, optimize_artifact_key( rounds ),
+      [&] {
+        fault_injection::poll( "flow.optimize" );
+        return optimize( aig, rounds );
+      },
+      keep_published );
 }
 
 const flow_artifact_cache::functional_artifact&
 flow_artifact_cache::functional_intermediate( const aig_network& aig, unsigned rounds )
 {
-  std::lock_guard<std::mutex> lock( mutex_ );
-  check_same_design( aig );
-  // The functional intermediate (truth tables + embedding) has no disk
-  // tier: it is exponential in the input count by construction, so it is
-  // only ever built for small designs where recomputing is cheap.
-  const auto it = functional_.find( rounds );
-  if ( it != functional_.end() )
-  {
-    ++stats_.hits;
-    return it->second;
-  }
-  const auto& opt = optimized_locked( aig, rounds );
-  ++stats_.misses;
-  fault_injection::poll( "flow.collapse" );
-  functional_artifact art;
-  art.outputs = collapse_to_truth_tables( opt );
-  art.embed = embed_optimum( art.outputs );
-  return functional_.emplace( rounds, std::move( art ) ).first->second;
+  return lookup(
+      functional_, aig,
+      flow_artifact_key( { .kind = flow_kind::functional, .optimization_rounds = rounds } ),
+      [&] {
+        const auto& opt = optimized( aig, rounds );
+        fault_injection::poll( "flow.collapse" );
+        functional_artifact art;
+        art.outputs = collapse_to_truth_tables( opt );
+        art.embed = embed_optimum( art.outputs );
+        return art;
+      },
+      keep_published );
 }
 
 const flow_artifact_cache::esop_artifact&
@@ -269,134 +340,57 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
                                         bool run_exorcism,
                                         const exorcism_params& minimize_limits )
 {
-  std::lock_guard<std::mutex> lock( mutex_ );
-  check_same_design( aig ); // binds the design hash before any store key is built
-  const auto key = std::make_pair( rounds, run_exorcism );
   // A requester with an unexpired deadline carries budget: it may upgrade
   // a cached artifact whose minimization stopped at an earlier caller's
   // budget instead of reusing the half-minimized cube list as-is.
   const bool requester_has_budget = run_exorcism && !minimize_limits.stop.expired();
-  const auto upgrade = [&]( std::shared_ptr<esop_artifact>& slot ) {
-    auto upgraded = std::make_shared<esop_artifact>( *slot );
-    const auto mstats = exorcism( upgraded->expression, minimize_limits );
-    upgraded->budget_exhausted = mstats.budget_exhausted;
-    upgraded->terms = upgraded->expression.num_terms();
-    retired_esops_.push_back( slot ); // references handed out earlier stay valid
-    slot = std::move( upgraded );
-  };
-  const store::store_key skey{ bound_hash_, store::payload_kind::esop,
-                               "esop[r=" + std::to_string( rounds ) +
-                                   ",exo=" + ( run_exorcism ? "1" : "0" ) + "]" };
-  const auto it = esops_.find( key );
-  if ( it != esops_.end() )
-  {
-    ++stats_.hits;
-    if ( it->second->budget_exhausted && requester_has_budget )
-    {
-      upgrade( it->second );
-      if ( store_ )
-      {
-        store_->save( skey, encode_esop_payload( *it->second ) );
-      }
-    }
-    return *it->second;
-  }
-  if ( store_ )
-  {
-    if ( const auto payload = store_->load( skey ) )
-    {
-      try
-      {
-        store::byte_reader r( *payload );
-        auto art = std::make_shared<esop_artifact>();
-        art->budget_exhausted = r.u8() != 0u;
-        art->expression = store::read_esop( r );
-        r.expect_end();
-        art->terms = art->expression.num_terms();
-        ++stats_.store_hits;
-        auto& slot = esops_.emplace( key, std::move( art ) ).first->second;
-        if ( slot->budget_exhausted && requester_has_budget )
+  return lookup(
+      esops_, aig,
+      flow_artifact_key( { .kind = flow_kind::esop_based,
+                           .optimization_rounds = rounds,
+                           .run_exorcism = run_exorcism } ),
+      [&] {
+        const auto& opt = optimized( aig, rounds );
+        fault_injection::poll( "flow.esop" );
+        esop_artifact art;
+        art.expression = esop_from_aig( opt );
+        if ( run_exorcism )
         {
-          upgrade( slot );
-          store_->save( skey, encode_esop_payload( *slot ) );
+          art.budget_exhausted = exorcism( art.expression, minimize_limits ).budget_exhausted;
         }
-        return *slot;
-      }
-      catch ( const store::deserialize_error& )
-      {
-        // malformed payload behind a valid header: recompute below
-      }
-    }
-  }
-  const auto& opt = optimized_locked( aig, rounds );
-  ++stats_.misses;
-  fault_injection::poll( "flow.esop" );
-  auto art = std::make_shared<esop_artifact>();
-  art->expression = esop_from_aig( opt );
-  if ( run_exorcism )
-  {
-    const auto mstats = exorcism( art->expression, minimize_limits );
-    art->budget_exhausted = mstats.budget_exhausted;
-  }
-  art->terms = art->expression.num_terms();
-  const auto& slot = esops_.emplace( key, std::move( art ) ).first->second;
-  if ( store_ )
-  {
-    store_->save( skey, encode_esop_payload( *slot ) );
-  }
-  return *slot;
+        art.terms = art.expression.num_terms();
+        return art;
+      },
+      [&]( const esop_artifact& cached ) -> std::shared_ptr<const esop_artifact> {
+        if ( !cached.budget_exhausted || !requester_has_budget )
+        {
+          return nullptr;
+        }
+        auto upgraded = std::make_shared<esop_artifact>( cached );
+        upgraded->budget_exhausted =
+            exorcism( upgraded->expression, minimize_limits ).budget_exhausted;
+        upgraded->terms = upgraded->expression.num_terms();
+        return upgraded;
+      } );
 }
 
 const flow_artifact_cache::xmg_artifact&
 flow_artifact_cache::xmg_intermediate( const aig_network& aig, unsigned rounds,
                                        unsigned cut_size )
 {
-  std::lock_guard<std::mutex> lock( mutex_ );
-  check_same_design( aig );
-  const auto key = std::make_pair( rounds, cut_size );
-  const auto it = xmgs_.find( key );
-  if ( it != xmgs_.end() )
-  {
-    ++stats_.hits;
-    return it->second;
-  }
-  const store::store_key skey{ bound_hash_, store::payload_kind::xmg,
-                               "xmg[r=" + std::to_string( rounds ) +
-                                   ",k=" + std::to_string( cut_size ) + "]" };
-  if ( store_ )
-  {
-    if ( const auto payload = store_->load( skey ) )
-    {
-      try
-      {
-        store::byte_reader r( *payload );
+  return lookup(
+      xmgs_, aig,
+      flow_artifact_key( { .kind = flow_kind::hierarchical,
+                           .optimization_rounds = rounds,
+                           .cut_size = cut_size } ),
+      [&] {
+        const auto& opt = optimized( aig, rounds );
+        fault_injection::poll( "flow.xmg" );
         xmg_artifact art;
-        art.graph = store::read_xmg( r );
-        art.stats.luts = r.u64();
-        art.stats.direct_forms = r.u64();
-        art.stats.pprm_forms = r.u64();
-        art.stats.isop_forms = r.u64();
-        r.expect_end();
-        ++stats_.store_hits;
-        return xmgs_.emplace( key, std::move( art ) ).first->second;
-      }
-      catch ( const store::deserialize_error& )
-      {
-        // malformed payload behind a valid header: recompute below
-      }
-    }
-  }
-  const auto& opt = optimized_locked( aig, rounds );
-  ++stats_.misses;
-  fault_injection::poll( "flow.xmg" );
-  xmg_artifact art;
-  art.graph = xmg_from_aig( opt, cut_size, &art.stats );
-  const auto& slot = xmgs_.emplace( key, std::move( art ) ).first->second;
-  if ( store_ )
-  {
-    store_->save( skey, encode_xmg_payload( slot ) );
-  }
-  return slot;
+        art.graph = xmg_from_aig( opt, cut_size, &art.stats );
+        return art;
+      },
+      keep_published );
 }
 
 sat::incremental_cec& flow_artifact_cache::sat_engine()
@@ -416,20 +410,6 @@ cache_stats flow_artifact_cache::stats() const
 }
 
 // --- task-graph builder ------------------------------------------------------
-
-std::string flow_stage_name( flow_kind kind )
-{
-  switch ( kind )
-  {
-  case flow_kind::functional:
-    return "collapse";
-  case flow_kind::esop_based:
-    return "esop";
-  case flow_kind::hierarchical:
-    return "xmg";
-  }
-  return "unknown";
-}
 
 std::string optimize_artifact_key( unsigned rounds )
 {

@@ -153,8 +153,8 @@ struct flow_result
   reversible_circuit circuit;
   cost_report costs;
   double runtime_seconds = 0.0; ///< synthesis only; stage cache hits cost
-                                ///< ~0 (a hit racing the computing thread
-                                ///< blocks, and that wait counts)
+                                ///< ~0 (a hit on a key still being
+                                ///< computed waits, and that wait counts)
   double verify_seconds = 0.0;  ///< verification time of the tier that ran
                                 ///< (0 if verification is off)
   bool verified = false;
@@ -229,19 +229,22 @@ struct cache_stats
 /// (`aig_network::content_hash()`) and rejects any other design with
 /// std::invalid_argument — including equal-sized distinct designs, which
 /// the old size-only fingerprint silently aliased.  Each artifact is
-/// keyed on the parameter subset the stage depends on, so a sweep over
-/// `esop_p` or cleanup strategies shares everything upstream of the
-/// synthesis tail.
+/// keyed on the parameter subset the stage depends on
+/// (`optimize_artifact_key` / `flow_artifact_key`, also the store key), so
+/// a sweep over `esop_p` or cleanup strategies shares everything upstream
+/// of the synthesis tail.
 ///
 /// With `attach_store`, the cache gains a persistent second tier:
 /// lookups go memory → disk → compute, computed artifacts are written
 /// back to disk, and a fresh process warm-starts from what earlier
 /// processes computed (same design hash × same parameter key — the store
-/// validates both).  All accessors are thread-safe (one mutex; an
-/// artifact is computed under the lock, so concurrent first accesses of
-/// the same key compute it once, and concurrent lookups of a key being
-/// computed block until it is ready).  References returned remain valid
-/// for the cache's lifetime (map nodes are stable; an ESOP artifact
+/// validates both).  All accessors are thread-safe: each key owns a
+/// publish-once cell, and a computation holds only its own cell, so
+/// concurrent first accesses of one key compute it once (the others wait
+/// and count a hit) while other keys, `stats()`, `sat_engine()`,
+/// `design_hash()` and `attach_store` never wait on it.  A computation
+/// that throws publishes nothing; the next caller recomputes.  References
+/// returned remain valid for the cache's lifetime (an ESOP artifact
 /// replaced by a budget upgrade retires — but keeps alive — the old
 /// object).
 class flow_artifact_cache
@@ -315,7 +318,6 @@ public:
   /// back to on every computation (and ESOP upgrade); several caches —
   /// across threads and processes — may share one store.
   void attach_store( std::shared_ptr<store::artifact_store> disk );
-  [[nodiscard]] std::shared_ptr<store::artifact_store> attached_store() const;
 
   /// Structural content hash of the bound design (0 until the first
   /// lookup binds the cache) — the store tier's design key.
@@ -324,18 +326,30 @@ public:
   cache_stats stats() const;
 
 private:
-  const aig_network& optimized_locked( const aig_network& aig, unsigned rounds );
-  void check_same_design( const aig_network& aig );
+  /// One key's publish-once slot: `mutex` is held while the artifact is
+  /// computed or upgraded and while `value` (null until then) is read.
+  /// Lock order: cell → upstream optimize cell → `mutex_`.
+  template <class Artifact>
+  struct cell
+  {
+    std::mutex mutex;
+    std::shared_ptr<const Artifact> value;
+  };
 
+  /// The one lookup of every kind (memory → store → compute → publish →
+  /// save); `refresh` may replace a published artifact (ESOP upgrade).
+  template <class Artifact, class Compute, class Refresh>
+  const Artifact& lookup( std::map<std::string, cell<Artifact>>& cells, const aig_network& aig,
+                          const std::string& key, Compute&& compute, Refresh&& refresh );
+  void check_same_design( const aig_network& aig, std::uint64_t hash );
+
+  /// Guards only cell find-or-insert, the binding, stats_ and retired_.
   mutable std::mutex mutex_;
-  std::map<unsigned, aig_network> optimized_;
-  std::map<unsigned, functional_artifact> functional_;
-  /// shared_ptr values: a budget upgrade publishes a NEW artifact object
-  /// and moves the superseded one to `retired_esops_`, keeping references
-  /// handed out earlier alive without mutating them under readers.
-  std::map<std::pair<unsigned, bool>, std::shared_ptr<esop_artifact>> esops_;
-  std::vector<std::shared_ptr<esop_artifact>> retired_esops_;
-  std::map<std::pair<unsigned, unsigned>, xmg_artifact> xmgs_;
+  std::map<std::string, cell<aig_network>> optimized_; ///< cells are never erased
+  std::map<std::string, cell<functional_artifact>> functional_;
+  std::map<std::string, cell<esop_artifact>> esops_;
+  std::map<std::string, cell<xmg_artifact>> xmgs_;
+  std::vector<std::shared_ptr<const void>> retired_; ///< superseded, kept alive
   std::unique_ptr<sat::incremental_cec> sat_engine_; ///< lazily created
   std::shared_ptr<store::artifact_store> store_; ///< optional disk tier
   cache_stats stats_;
@@ -345,11 +359,6 @@ private:
   std::size_t bound_ands_ = 0;
   std::uint64_t bound_hash_ = 0; ///< content hash of the bound design
 };
-
-/// Stage name of a flow's backend intermediate ("collapse", "esop",
-/// "xmg") — the fault-injection site suffix and the middle node of the
-/// flow's task chain.
-std::string flow_stage_name( flow_kind kind );
 
 /// Task/cache key of the optimized-AIG artifact, e.g. "optimize[r=2]".
 std::string optimize_artifact_key( unsigned rounds );

@@ -14,8 +14,8 @@
 /// Keyed tasks **coalesce**: `add_shared` with an existing key returns the
 /// existing task instead of adding a duplicate, so concurrent requests for
 /// one artifact fold onto one in-flight computation (counted in
-/// `stats().coalesced`) instead of recomputing or serializing on the
-/// artifact cache's mutex.
+/// `stats().coalesced`); across graphs, the artifact cache's per-key
+/// publish-once cells keep each artifact computed once.
 ///
 /// Failure is isolated per task: a task that throws is recorded `failed`
 /// (its exception kept), and **poisons only its transitive dependents** —

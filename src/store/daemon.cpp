@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "../common/fault_injection.hpp"
 #include "../common/thread_pool.hpp"
 #include "../common/timer.hpp"
 #include "../core/dse.hpp" // dse_label
@@ -597,6 +598,8 @@ struct synthesis_daemon::design_context
     std::exception_ptr error;
   };
 
+  std::mutex elaborate_mutex;            ///< held by the one request elaborating
+  std::atomic<bool> elaborated{ false }; ///< `aig` and `design_hash` are set
   aig_network aig{ 0 };
   std::uint64_t design_hash = 0;
   flow_artifact_cache cache;
@@ -628,31 +631,35 @@ synthesis_daemon::~synthesis_daemon()
 synthesis_daemon::design_context& synthesis_daemon::context_for( const std::string& design,
                                                                  unsigned bitwidth )
 {
-  const auto key = design + ":" + std::to_string( bitwidth );
-  std::lock_guard<std::mutex> lock( mutex_ );
-  auto it = designs_.find( key );
-  if ( it != designs_.end() )
-  {
-    return *it->second;
-  }
-  reciprocal_design kind;
-  if ( design == "intdiv" )
-  {
-    kind = reciprocal_design::intdiv;
-  }
-  else if ( design == "newton" )
-  {
-    kind = reciprocal_design::newton;
-  }
-  else
+  if ( design != "intdiv" && design != "newton" )
   {
     throw std::runtime_error( "unknown design '" + design + "' (intdiv|newton)" );
   }
-  auto ctx = std::make_unique<design_context>();
-  ctx->aig = verilog::elaborate_verilog( reciprocal_verilog( kind, bitwidth ) ).aig;
-  ctx->design_hash = ctx->aig.content_hash();
-  ctx->cache.attach_store( store_ );
-  return *designs_.emplace( key, std::move( ctx ) ).first->second;
+  const auto kind = design == "intdiv" ? reciprocal_design::intdiv : reciprocal_design::newton;
+  design_context* ctx = nullptr;
+  {
+    std::lock_guard<std::mutex> lock( mutex_ );
+    auto& slot = designs_[design + ":" + std::to_string( bitwidth )];
+    if ( !slot )
+    {
+      slot = std::make_unique<design_context>();
+      slot->cache.attach_store( store_ );
+    }
+    ctx = slot.get();
+  }
+
+  // Elaborate once, outside the daemon-wide mutex; a failed elaboration
+  // publishes nothing, so the next request retries.
+  std::lock_guard<std::mutex> lock( ctx->elaborate_mutex );
+  if ( !ctx->elaborated.load() )
+  {
+    fault_injection::poll( "daemon.elaborate" );
+    auto aig = verilog::elaborate_verilog( reciprocal_verilog( kind, bitwidth ) ).aig;
+    ctx->design_hash = aig.content_hash();
+    ctx->aig = std::move( aig );
+    ctx->elaborated.store( true );
+  }
+  return *ctx;
 }
 
 std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std::string>& fields )
@@ -692,13 +699,16 @@ std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std
       if ( it != ctx.results.end() &&
            !upgrade_worthwhile( it->second.result, it->second.produced_with, params.limits ) )
       {
-        const auto result = it->second.result;
+        // The response is formatted from the cached entry in place: copying
+        // its circuit (up to 5e5 gates) per hit only costs memory.
+        auto response =
+            synthesize_response( params, it->second.result, true, watch.elapsed_seconds() );
         lock.unlock();
         {
           std::lock_guard<std::mutex> slock( mutex_ );
           ++stats_.result_hits;
         }
-        return synthesize_response( params, result, true, watch.elapsed_seconds() );
+        return response;
       }
       const bool memory_upgrade = it != ctx.results.end();
 
@@ -719,9 +729,7 @@ std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std
         }
         if ( !upgrade_worthwhile( shared->result, shared->produced_with, params.limits ) )
         {
-          const auto result = shared->result;
-          lock.unlock();
-          return synthesize_response( params, result, true, watch.elapsed_seconds() );
+          return synthesize_response( params, shared->result, true, watch.elapsed_seconds() );
         }
         continue;
       }
@@ -878,9 +886,9 @@ std::string synthesis_daemon::handle_request( const std::string& line )
       {
         std::lock_guard<std::mutex> lock( mutex_ );
         d = stats_;
-        num_designs = designs_.size();
         for ( const auto& [name, ctx] : designs_ )
         {
+          num_designs += ctx->elaborated.load() ? 1u : 0u;
           const auto s = ctx->cache.stats();
           artifacts.hits += s.hits;
           artifacts.misses += s.misses;

@@ -165,7 +165,8 @@ private:
   std::unique_ptr<thread_pool> pool_;     ///< shared by all in-flight requests
   std::size_t max_inflight_ = 0;          ///< resolved admission cap
 
-  mutable std::mutex mutex_; ///< guards designs_, stats_
+  /// Guards designs_ and stats_; never held across elaboration or synthesis.
+  mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<design_context>> designs_;
   daemon_stats stats_;
   std::atomic<std::size_t> inflight_{ 0 }; ///< admitted owner syntheses

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/fault_injection.hpp"
 #include "store/daemon.hpp"
 
 using namespace qsyn;
@@ -38,6 +40,27 @@ struct temp_dir
     std::filesystem::remove_all( path, ec );
   }
 };
+
+/// Disarms every fault-injection site when the test ends.
+struct fault_guard
+{
+  ~fault_guard() { fault_injection::disarm_all(); }
+};
+
+/// Spins until the armed `site` has been polled `count` times; false when
+/// the polling thread set `done` without getting there.
+bool wait_for_polls( const std::string& site, std::uint64_t count, const std::atomic<bool>& done )
+{
+  while ( fault_injection::hits( site ) < count )
+  {
+    if ( done.load() )
+    {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 bool contains( const std::string& haystack, const std::string& needle )
 {
@@ -564,4 +587,86 @@ TEST( daemon, stop_returns_while_an_idle_client_stays_connected )
   ::close( idle );
   stopped.wait();
   EXPECT_FALSE( std::filesystem::exists( options.socket_path ) );
+}
+
+TEST( daemon, ping_and_stats_answer_while_a_synthesis_is_mid_xmg )
+{
+  fault_guard guard;
+  synthesis_daemon daemon( {} );
+  // Armed far beyond reach, the site only counts polls: one poll means the
+  // request's XMG computation has started.
+  fault_injection::arm( "flow.xmg", fault_injection::kind::fail, 1000 );
+  std::atomic<bool> done{ false };
+  std::string response;
+  std::thread client( [&] {
+    response = daemon.handle_request(
+        R"({"cmd":"synthesize","design":"newton","bitwidth":10,"flow":"hierarchical","cut_size":6,"verify":"none"})" );
+    done.store( true );
+  } );
+  const bool started = wait_for_polls( "flow.xmg", 1, done );
+
+  const auto stats = daemon.handle_request( R"({"cmd":"stats"})" );
+  const auto pong = daemon.handle_request( R"({"cmd":"ping"})" );
+  const bool answered_in_flight = !done.load();
+  client.join();
+
+  ASSERT_TRUE( started );
+  EXPECT_TRUE( answered_in_flight );
+  EXPECT_EQ( pong, R"({"ok":true,"pong":true})" );
+  // The XMG artifact was not yet published when `stats` answered.
+  EXPECT_EQ( parse_flat_json( stats ).at( "artifact_misses" ), "1" ) << stats;
+  EXPECT_TRUE( contains( response, "\"ok\":true" ) ) << response;
+}
+
+TEST( daemon, ping_answers_while_a_cold_design_elaborates )
+{
+  fault_guard guard;
+  synthesis_daemon daemon( {} );
+  // Counts polls only: one poll means the request is inside the cold
+  // design's elaboration.  The optimize failure then ends the request
+  // without synthesizing the large design.
+  fault_injection::arm( "daemon.elaborate", fault_injection::kind::fail, 1000 );
+  fault_injection::arm( "flow.optimize", fault_injection::kind::fail );
+  std::atomic<bool> done{ false };
+  std::string response;
+  std::thread client( [&] {
+    response = daemon.handle_request(
+        R"({"cmd":"synthesize","design":"newton","bitwidth":24,"flow":"hierarchical","verify":"none"})" );
+    done.store( true );
+  } );
+  const bool started = wait_for_polls( "daemon.elaborate", 1, done );
+
+  const auto pong = daemon.handle_request( R"({"cmd":"ping"})" );
+  const auto during = parse_flat_json( daemon.handle_request( R"({"cmd":"stats"})" ) );
+  client.join();
+
+  ASSERT_TRUE( started );
+  EXPECT_EQ( pong, R"({"ok":true,"pong":true})" );
+  // `designs` counts elaborated contexts: 0 means the ping, and the stats
+  // after it, answered while the elaboration was still running.
+  EXPECT_EQ( during.at( "designs" ), "0" );
+  EXPECT_TRUE( contains( response, "\"status\":\"failed\"" ) ) << response;
+  const auto after = parse_flat_json( daemon.handle_request( R"({"cmd":"stats"})" ) );
+  EXPECT_EQ( after.at( "designs" ), "1" );
+}
+
+TEST( daemon, failed_elaboration_publishes_nothing_and_the_next_request_retries )
+{
+  fault_guard guard;
+  synthesis_daemon daemon( {} );
+  fault_injection::arm( "daemon.elaborate", fault_injection::kind::fail, 0, 1 );
+  const auto request =
+      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","verify":"sampled"})";
+  const auto designs = [&daemon] {
+    return parse_flat_json( daemon.handle_request( R"({"cmd":"stats"})" ) ).at( "designs" );
+  };
+  const auto failed = daemon.handle_request( request );
+  EXPECT_TRUE( contains( failed, "\"ok\":false" ) ) << failed;
+  EXPECT_EQ( designs(), "0" );
+
+  const auto retried = daemon.handle_request( request );
+  EXPECT_TRUE( contains( retried, "\"ok\":true" ) ) << retried;
+  EXPECT_TRUE( contains( retried, "\"verified\":true" ) ) << retried;
+  EXPECT_EQ( designs(), "1" );
+  EXPECT_EQ( daemon.stats().synthesized, 1u );
 }

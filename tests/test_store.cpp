@@ -1,9 +1,11 @@
 /// Persistent artifact store: serialization round trips, corruption
 /// tolerance, concurrency, cross-process reuse, and the cache's disk tier
-/// (including the ESOP budget-upgrade path).
+/// (including the ESOP budget-upgrade path), and the cache's per-key
+/// publish-once cells under concurrent callers without a task graph.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -16,10 +18,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/fault_injection.hpp"
 #include "core/dse.hpp"
 #include "core/flows.hpp"
 #include "store/artifact_store.hpp"
 #include "store/serialize.hpp"
+#include "synth/aig_optimize.hpp"
 #include "synth/exorcism.hpp"
 #include "verilog/elaborator.hpp"
 
@@ -47,6 +51,27 @@ struct temp_dir
 aig_network elaborated_intdiv( unsigned n )
 {
   return verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, n ) ).aig;
+}
+
+/// Disarms every fault-injection site when the test ends.
+struct fault_guard
+{
+  ~fault_guard() { fault_injection::disarm_all(); }
+};
+
+/// Spins until the armed `site` has been polled `count` times; false when
+/// the polling thread set `done` without getting there.
+bool wait_for_polls( const std::string& site, std::uint64_t count, const std::atomic<bool>& done )
+{
+  while ( fault_injection::hits( site ) < count )
+  {
+    if ( done.load() )
+    {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 esop sample_esop()
@@ -578,4 +603,84 @@ TEST( cache_store_tier, explore_options_store_warm_starts_a_sweep )
     EXPECT_EQ( warm[0].points[i].result.costs.t_count, cold[0].points[i].result.costs.t_count );
     EXPECT_EQ( warm[0].points[i].result.costs.gates, cold[0].points[i].result.costs.gates );
   }
+}
+
+// --- the cache's publish-once cells ------------------------------------------
+
+TEST( cache_cells, stats_and_other_keys_answer_while_a_computation_is_in_flight )
+{
+  fault_guard guard;
+  const auto aig =
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 10 ) ).aig;
+  flow_artifact_cache cache;
+  // Armed far beyond reach, the site only counts polls: one poll means the
+  // XMG computation has started (its optimize lookup already returned).
+  fault_injection::arm( "flow.xmg", fault_injection::kind::fail, 1000 );
+  std::atomic<bool> done{ false };
+  std::thread computing( [&] {
+    cache.xmg_intermediate( aig, 2, 6 );
+    done.store( true );
+  } );
+  const bool started = wait_for_polls( "flow.xmg", 1, done );
+
+  const auto in_flight = cache.stats();
+  const auto& optimized = cache.optimized( aig, 2 ); // a hit on another key
+  const bool answered_in_flight = !done.load();
+  computing.join();
+
+  ASSERT_TRUE( started );
+  EXPECT_TRUE( answered_in_flight );
+  EXPECT_EQ( in_flight.misses, 1u ); // optimize published, xmg not yet
+  EXPECT_EQ( in_flight.hits, 0u );
+  EXPECT_EQ( optimized.num_ands(), optimize( aig, 2 ).num_ands() );
+  EXPECT_EQ( cache.stats().misses, 2u );
+}
+
+TEST( cache_cells, concurrent_first_accesses_compute_once_without_a_graph )
+{
+  const auto aig = elaborated_intdiv( 5 );
+  flow_artifact_cache cache;
+  constexpr unsigned num_callers = 8;
+  std::vector<const flow_artifact_cache::xmg_artifact*> seen( num_callers, nullptr );
+  std::vector<std::thread> callers;
+  for ( unsigned t = 0; t < num_callers; ++t )
+  {
+    callers.emplace_back( [&, t] { seen[t] = &cache.xmg_intermediate( aig, 2, 4 ); } );
+  }
+  for ( auto& t : callers )
+  {
+    t.join();
+  }
+
+  // One caller computed optimize + xmg; the other seven waited on the XMG
+  // cell and hit.
+  const auto stats = cache.stats();
+  EXPECT_EQ( stats.misses, 2u );
+  EXPECT_EQ( stats.hits, num_callers - 1u );
+  EXPECT_EQ( stats.store_hits, 0u );
+  for ( const auto* art : seen )
+  {
+    EXPECT_EQ( art, seen[0] );
+  }
+}
+
+TEST( cache_cells, failed_computation_publishes_nothing_and_the_next_caller_recomputes )
+{
+  fault_guard guard;
+  const auto aig = elaborated_intdiv( 5 );
+  flow_artifact_cache cache;
+  fault_injection::arm( "flow.xmg", fault_injection::kind::fail, 0, 1 );
+  EXPECT_THROW( cache.xmg_intermediate( aig, 2, 4 ), fault_injection::injected_fault );
+
+  const auto& art = cache.xmg_intermediate( aig, 2, 4 );
+  flow_artifact_cache fresh;
+  const auto& expected = fresh.xmg_intermediate( aig, 2, 4 );
+  EXPECT_EQ( art.graph.num_maj(), expected.graph.num_maj() );
+  EXPECT_EQ( art.graph.num_xor(), expected.graph.num_xor() );
+
+  // Only published computations count: optimize (kept from the failed
+  // call) and the second call's XMG.
+  const auto stats = cache.stats();
+  EXPECT_EQ( stats.misses, 2u );
+  EXPECT_EQ( stats.hits, 1u );
 }
