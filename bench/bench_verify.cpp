@@ -20,24 +20,22 @@
 /// Per case it also times the wide engine at the width the DSE exhaustive
 /// tier picks (`wide_ms`, informational), its sustained per-word cost at
 /// w512 against the same engine at w64 (`width_speedup`, the >= 4x metric
-/// scripts/run_bench.sh gates on), and the frontier batch — K same-shape
-/// sweep candidates verified by K single wide calls vs one
-/// `verify_batch_against_aig_exhaustive_budgeted` pass that walks the spec
-/// AIG once per lane group for the whole frontier (`frontier_speedup`).
-/// Every case replays a mixed pass/fail frontier at widths 64/256/512 and
-/// requires reports bit-identical to the scalar enumeration's
-/// (`widths_agree`), and records the corrupted-circuit counterexample as a
+/// scripts/run_bench.sh gates on).  Every case replays a mixed pass/fail
+/// candidate set at widths 64/256/512, one call per candidate, and requires
+/// reports bit-identical to the scalar enumeration's (`widths_agree`), and
+/// records the corrupted-circuit counterexample as a
 /// bit string (`cex`) so run_bench.sh can diff verdicts between the AVX
 /// and portable builds.
 ///
-/// Schema v4 re-pins the simulation metrics on the one remaining engine:
-/// `w64_ms`, `w64_word_us` and `frontier_single_ms` replace the fields
-/// that timed the deleted 64-bit block simulator (`block_ms` and its
-/// per-word and frontier counterparts).
+/// Schema v4 re-pinned the simulation metrics on the one remaining engine:
+/// `w64_ms` and `w64_word_us` replaced the fields that timed the deleted
+/// 64-bit block simulator.  Schema v5 drops the informational frontier
+/// batch timings (`frontier_*`, `min_frontier_speedup`, `frontier_k`)
+/// together with the batched verification API they measured.
 ///
 /// It writes BENCH_verify.json (see docs/ARCHITECTURE.md) with per-case
 /// wall clocks and the w64-vs-scalar / incremental-vs-monolithic /
-/// w512-vs-w64 / frontier-batch speedups so every future PR can extend the
+/// w512-vs-w64 speedups so every future PR can extend the
 /// perf trajectory (scripts/run_bench.sh gates on it).
 ///
 /// Usage: bench_verify [--out FILE] [--quick] [--sim-only]
@@ -115,10 +113,6 @@ double time_ms( Fn&& fn, double window_s = 0.5 )
 constexpr int width_rounds = 25;
 constexpr double width_window_s = 0.1;
 
-/// Number of same-shape candidates in the timed frontier batch — the
-/// size of a typical DSE sweep frontier sharing one spec AIG.
-constexpr std::size_t frontier_k = 8;
-
 struct case_result
 {
   std::string name;
@@ -132,10 +126,7 @@ struct case_result
   double wide_speedup = 0.0; ///< w64 vs the DSE default width, single candidate
   double w64_word_us = 0.0;  ///< sustained w64 cost per 64-assignment word
   double wide_word_us = 0.0; ///< sustained w512 cost per word
-  double width_speedup = 0.0;       ///< per-word throughput, w512 vs w64 (the >=4x gate)
-  double frontier_single_ms = 0.0;  ///< K single wide calls, one per candidate
-  double frontier_wide_ms = 0.0;    ///< one batched wide pass over the K candidates
-  double frontier_speedup = 0.0;    ///< single calls vs the batch
+  double width_speedup = 0.0; ///< per-word throughput, w512 vs w64 (the >=4x gate)
   std::string simd_backend;  ///< kernel backend active at the case's width
   std::string cex;           ///< corrupted-circuit counterexample, bit i = input i
   double sat_mono_ms = 0.0;  ///< monolithic reference (sat::check_equivalence)
@@ -145,7 +136,7 @@ struct case_result
   bool tiers_agree = true;      ///< all tiers accept the correct circuit,
                                 ///< scalar == wide bit-for-bit
   bool corrupt_rejected = true; ///< all tiers reject the corrupted circuit
-  bool widths_agree = true;     ///< batch reports at w64/w256/w512 bit-identical
+  bool widths_agree = true;     ///< reports at w64/w256/w512 bit-identical
                                 ///< to the per-candidate scalar enumeration
 };
 
@@ -267,7 +258,7 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   } );
   r.speedup = r.w64_ms > 0.0 ? r.scalar_ms / r.w64_ms : 0.0;
 
-  // --- the SIMD-wide engine and the frontier batch ---------------------------
+  // --- the SIMD-wide engine -------------------------------------------------
   // Width as the DSE exhaustive tier picks it for this input space; w64
   // always runs the portable scalar kernels, so n <= 6 cases would measure
   // engine layout, not SIMD width.
@@ -282,8 +273,8 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   // (construction amortized away, as in a long sweep), spec walk included
   // on both sides, cost divided by the words a pass settles.  Per-word is
   // the width-scaling measure: at n=7 a 512-lane group wraps the
-  // 128-assignment space, so whole-case wall clocks (wide_ms,
-  // frontier_wide_ms) can gain at most 2x there — the full-width gain
+  // 128-assignment space, so whole-case wall clocks (wide_ms) can gain
+  // at most 2x there — the full-width gain
   // materializes whenever a group is filled (n >= 9 spaces, sampled tiers,
   // fraig signatures).
   {
@@ -301,21 +292,6 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     r.wide_word_us = group_ms * 1000.0 / static_cast<double>( words_of( sim_width::w512 ) );
     r.width_speedup = r.wide_word_us > 0.0 ? r.w64_word_us / r.wide_word_us : 0.0;
   }
-
-  // Frontier batch: K same-shape candidates against one spec — K single
-  // calls each re-simulate the spec AIG per lane group, the batch walks the
-  // spec once per lane group for the whole frontier.
-  const std::vector<const reversible_circuit*> frontier( frontier_k, &circuit );
-  r.frontier_single_ms = time_ms( [&] {
-    for ( const auto* candidate : frontier )
-    {
-      (void)verify_against_aig_exhaustive_budgeted( *candidate, spec, deadline{}, width );
-    }
-  } );
-  r.frontier_wide_ms = time_ms(
-      [&] { (void)verify_batch_against_aig_exhaustive_budgeted( frontier, spec, deadline{}, width ); } );
-  r.frontier_speedup =
-      r.frontier_wide_ms > 0.0 ? r.frontier_single_ms / r.frontier_wide_ms : 0.0;
 
   // --- corrupted circuit: every tier must reject, scalar == wide -------------
   const auto corrupted = corrupt_circuit( circuit, spec );
@@ -344,11 +320,11 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     }
   }
 
-  // --- per-width bit-identity on a mixed pass/fail frontier ------------------
+  // --- per-width bit-identity on a mixed pass/fail candidate set -------------
   // Candidates failing at different columns (the NOT flips every column,
   // the 3-control MCT only fires from column 7 on) pin the
-  // first-counterexample contract, the early-retire bookkeeping and the
-  // per-assignment accounting against the scalar enumeration at every width.
+  // first-counterexample contract and the per-assignment accounting
+  // against the scalar enumeration at every width.
   auto flip_first = circuit;
   flip_first.add_not( output_lines_of( circuit ).front() );
   auto flip_late = circuit;
@@ -376,21 +352,21 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   }
   for ( const auto w : { sim_width::w64, sim_width::w256, sim_width::w512 } )
   {
-    const auto wide = verify_batch_against_aig_exhaustive_budgeted( mixed, spec, deadline{}, w );
     for ( std::size_t c = 0; c < mixed.size(); ++c )
     {
-      r.widths_agree = r.widths_agree && reports_equal( wide[c], oracle[c] );
+      r.widths_agree =
+          r.widths_agree &&
+          reports_equal( verify_against_aig_exhaustive_budgeted( *mixed[c], spec, deadline{}, w ),
+                         oracle[c] );
     }
   }
 
   std::printf( "%-16s pis %2u  gates %6zu | scalar %9.3f ms | w64 %8.4f ms (%6.1fx) | "
                "word %8.3f -> %7.3f us (%4.1fx, %s) | wide %8.4f ms (%4.1fx) | "
-               "frontier x%zu %8.4f -> %8.4f ms (%4.1fx) | "
                "sat mono %8.2f ms  inc %7.2f ms (%5.1fx)  warm %7.3f ms | %s%s%s\n",
                r.name.c_str(), r.pis, r.gates, r.scalar_ms, r.w64_ms, r.speedup,
                r.w64_word_us, r.wide_word_us, r.width_speedup, r.simd_backend.c_str(),
-               r.wide_ms, r.wide_speedup, frontier_k, r.frontier_single_ms, r.frontier_wide_ms,
-               r.frontier_speedup, r.sat_mono_ms, r.sat_ms, r.sat_speedup, r.sat_warm_ms,
+               r.wide_ms, r.wide_speedup, r.sat_mono_ms, r.sat_ms, r.sat_speedup, r.sat_warm_ms,
                r.tiers_agree ? "agree" : "TIERS DIVERGED",
                r.corrupt_rejected ? "" : ", CORRUPTION MISSED",
                r.widths_agree ? "" : ", WIDTHS DIVERGED" );
@@ -404,7 +380,6 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
   double min_speedup = 0.0;
   double min_sat_speedup = 0.0;
   double min_wide_speedup = 0.0;
-  double min_frontier_speedup = 0.0;
   double min_width_speedup = 0.0;
   for ( const auto& c : cases )
   {
@@ -415,9 +390,6 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
         min_sat_speedup == 0.0 ? c.sat_speedup : std::min( min_sat_speedup, c.sat_speedup );
     min_wide_speedup =
         min_wide_speedup == 0.0 ? c.wide_speedup : std::min( min_wide_speedup, c.wide_speedup );
-    min_frontier_speedup = min_frontier_speedup == 0.0
-                               ? c.frontier_speedup
-                               : std::min( min_frontier_speedup, c.frontier_speedup );
     min_width_speedup =
         min_width_speedup == 0.0 ? c.width_speedup : std::min( min_width_speedup, c.width_speedup );
   }
@@ -427,7 +399,7 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( stderr, "cannot open %s for writing\n", path );
     std::exit( 1 );
   }
-  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 4,\n" );
+  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 5,\n" );
   std::fprintf( f, "  \"sim_only\": %s,\n", sim_only ? "true" : "false" );
   std::fprintf( f, "  \"simd_backend\": \"%s\",\n",
                 simd_backend_name( active_simd_backend( sim_width::w512 ) ) );
@@ -436,11 +408,9 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
   std::fprintf( f, "  \"min_speedup\": %.1f,\n", min_speedup );
   std::fprintf( f, "  \"min_sat_speedup\": %.1f,\n", min_sat_speedup );
   std::fprintf( f, "  \"min_wide_speedup\": %.1f,\n", min_wide_speedup );
-  std::fprintf( f, "  \"min_frontier_speedup\": %.1f,\n", min_frontier_speedup );
   // Two decimals: the run_bench.sh floors compare these values, and one
   // decimal would round a failing 3.46 into a passing 3.5.
   std::fprintf( f, "  \"min_width_speedup\": %.2f,\n", min_width_speedup );
-  std::fprintf( f, "  \"frontier_k\": %zu,\n", frontier_k );
   std::fprintf( f, "  \"width_rounds\": %d,\n", width_rounds );
   std::fprintf( f, "  \"cases\": [\n" );
   for ( std::size_t i = 0; i < cases.size(); ++i )
@@ -459,9 +429,6 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( f, "      \"w64_word_us\": %.4f,\n", c.w64_word_us );
     std::fprintf( f, "      \"wide_word_us\": %.4f,\n", c.wide_word_us );
     std::fprintf( f, "      \"width_speedup\": %.2f,\n", c.width_speedup );
-    std::fprintf( f, "      \"frontier_single_ms\": %.4f,\n", c.frontier_single_ms );
-    std::fprintf( f, "      \"frontier_wide_ms\": %.4f,\n", c.frontier_wide_ms );
-    std::fprintf( f, "      \"frontier_speedup\": %.1f,\n", c.frontier_speedup );
     std::fprintf( f, "      \"simd_backend\": \"%s\",\n", c.simd_backend.c_str() );
     std::fprintf( f, "      \"cex\": \"%s\",\n", c.cex.c_str() );
     std::fprintf( f, "      \"sat_mono_ms\": %.2f,\n", c.sat_mono_ms );

@@ -33,7 +33,7 @@
 #     committed baseline,
 #   * the SIMD-wide engine regresses (schema v4): any sim width (w64 /
 #     w256 / w512) produces a different verdict, counterexample or coverage
-#     count than the scalar enumeration on the mixed pass/fail frontier
+#     count than the scalar enumeration on the mixed pass/fail candidates
 #     (widths_agree), or the sustained per-word verification throughput of
 #     the w512 lane group vs the same engine at w64 (width_speedup,
 #     persistent engines, spec walk included on both sides) falls below
@@ -50,10 +50,11 @@
 # Finally reruns the verification + store test suites under
 # AddressSanitizer (QSYN_SANITIZE=address) — the wide engine is all raw
 # lane-group indexing and the store parses untrusted on-disk bytes — the
-# verification + robustness + scheduler + store suites under
-# UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
-# store suites under ThreadSanitizer (the daemon coalesces concurrent
-# requests on a shared pool; the artifact cache publishes each key once).  Both sanitizer builds of test_verify compile with
+# verification + robustness + scheduler + store + daemon suites under
+# UndefinedBehaviorSanitizer (float-cast-overflow included), and the
+# robustness + scheduler + daemon + store suites under ThreadSanitizer
+# (the daemon coalesces concurrent requests on a shared pool; the artifact
+# cache publishes each key once).  Both sanitizer builds of test_verify compile with
 # QSYN_SIMD=native so the AVX2/AVX-512 kernels themselves run
 # instrumented, not just the portable fallback.
 #
@@ -405,7 +406,7 @@ SAT_NEWTON8_FLOOR = 10.0          # incremental-vs-monolithic on the flagship mi
 # Schema v4 (SIMD-wide engine): sustained per-word verification throughput
 # of the w512 lane group vs the same engine at w64, persistent engines,
 # spec walk included on both sides (best-of-25 interleaved 0.1 s windows
-# in the bench).  Whole-case wall clocks (wide_ms / frontier) are
+# in the bench).  Whole-case wall clocks (wide_ms) are
 # informational: at n=7/8 a 512-lane group wraps the whole input space.
 # The native range sits at ~4.3-7x per case on a shared 4-core VM; the
 # portable build reads ~0.6-0.75x, so a dispatch that silently pins the
@@ -433,7 +434,7 @@ if fresh_doc.get("schema_version", 0) < 4:
 if not fresh_doc.get("widths_agree", False):
     failures.append(
         "a sim width (w64/w256/w512) diverged from the scalar enumeration's "
-        "verdicts, counterexamples or coverage on the mixed frontier"
+        "verdicts, counterexamples or coverage on the mixed candidates"
     )
 
 base_scalar = base_w64 = fresh_scalar = fresh_w64 = 0.0
@@ -481,7 +482,6 @@ for name, base in sorted(baseline.items()):
         f"  (speedup {new['speedup']:.1f}x vs baseline {base['speedup']:.1f}x)"
         f"  word {new.get('w64_word_us', 0.0):.2f} -> "
         f"{new.get('wide_word_us', 0.0):.2f} us ({new.get('width_speedup', 0.0):.1f}x)"
-        f"  frontier {new.get('frontier_speedup', 0.0):.1f}x"
         f"  sat {base.get('sat_ms', 0.0):.2f} -> {new.get('sat_ms', 0.0):.2f} ms"
         f" ({new.get('sat_speedup', 0.0):.1f}x vs mono)"
     )
@@ -669,7 +669,7 @@ cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE
   -DQSYN_SIMD=native
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
   --target test_robustness test_scheduler test_store test_verify test_truth_table \
-  test_lut_xmg test_reversible
+  test_lut_xmg test_reversible test_daemon
 "$UBSAN_DIR/tests/test_robustness"
 "$UBSAN_DIR/tests/test_scheduler"
 # The store headers round-trip enums and fixed-width counters from
@@ -684,9 +684,12 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 "$UBSAN_DIR/tests/test_truth_table"
 "$UBSAN_DIR/tests/test_lut_xmg"
 "$UBSAN_DIR/tests/test_reversible"
+# Request fields become deadlines and budgets: the float-cast-overflow
+# check sees a number too large for the clock before it reaches one.
+"$UBSAN_DIR/tests/test_daemon"
 echo
 echo "test_robustness + test_scheduler + test_store + test_verify + test_truth_table" \
-     "+ test_lut_xmg + test_reversible OK under UndefinedBehaviorSanitizer"
+     "+ test_lut_xmg + test_reversible + test_daemon OK under UndefinedBehaviorSanitizer"
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread

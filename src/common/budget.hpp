@@ -70,15 +70,15 @@ public:
 
   deadline() = default;
 
-  /// Deadline `seconds` from now; `seconds <= 0` means unlimited.
+  /// Deadline `seconds` from now.  `seconds <= 0`, NaN, and anything above
+  /// `max_seconds` (including +inf) mean unlimited.
   static deadline in( double seconds )
   {
     deadline d;
-    if ( seconds > 0.0 )
+    if ( limits_time( seconds ) )
     {
       d.has_time_limit_ = true;
-      d.expires_at_ = clock::now() + std::chrono::duration_cast<clock::duration>(
-                                         std::chrono::duration<double>( seconds ) );
+      d.expires_at_ = from_now( seconds );
     }
     return d;
   }
@@ -129,18 +129,17 @@ public:
     return left > 0.0 ? left : 0.0;
   }
 
-  /// The tighter of this deadline and one `seconds` from now
-  /// (`seconds <= 0` keeps this deadline unchanged).  Used to compose a
-  /// sweep-level deadline with a per-design budget.
+  /// The tighter of this deadline and one `seconds` from now (seconds
+  /// that `in` reads as unlimited keep this deadline unchanged).  Used to
+  /// compose a sweep-level deadline with a per-design budget.
   [[nodiscard]] deadline tightened( double seconds ) const
   {
-    if ( seconds <= 0.0 )
+    if ( !limits_time( seconds ) )
     {
       return *this;
     }
     deadline d = *this;
-    const auto candidate = clock::now() + std::chrono::duration_cast<clock::duration>(
-                                              std::chrono::duration<double>( seconds ) );
+    const auto candidate = from_now( seconds );
     if ( !d.has_time_limit_ || candidate < d.expires_at_ )
     {
       d.has_time_limit_ = true;
@@ -150,6 +149,23 @@ public:
   }
 
 private:
+  /// Longest time limit a deadline represents: a century, far below the
+  /// ~292 years at which the clock's int64 nanosecond count overflows.
+  /// Anything longer saturates to "unlimited".
+  static constexpr double max_seconds = 100.0 * 365.25 * 24.0 * 3600.0;
+
+  /// True when `seconds` is a representable time limit (false for NaN).
+  static bool limits_time( double seconds ) noexcept
+  {
+    return seconds > 0.0 && seconds <= max_seconds;
+  }
+
+  static clock::time_point from_now( double seconds )
+  {
+    return clock::now() + std::chrono::duration_cast<clock::duration>(
+                              std::chrono::duration<double>( seconds ) );
+  }
+
   bool has_time_limit_ = false;
   bool has_token_ = false;
   clock::time_point expires_at_{};

@@ -1,19 +1,13 @@
 #include "dse.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <exception>
 #include <iomanip>
-#include <map>
 #include <memory>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 #include "../common/fault_injection.hpp"
 #include "../common/thread_pool.hpp"
-#include "../common/timer.hpp"
-#include "../reversible/verify.hpp"
 #include "../verilog/elaborator.hpp"
 
 namespace qsyn
@@ -85,185 +79,6 @@ unsigned resolve_num_threads( const explore_options& options )
   return options.num_threads == 0u ? thread_pool::default_num_threads() : options.num_threads;
 }
 
-std::string error_what( const std::exception_ptr& error )
-{
-  if ( !error )
-  {
-    return "unknown error";
-  }
-  try
-  {
-    std::rethrow_exception( error );
-  }
-  catch ( const std::exception& e )
-  {
-    return e.what();
-  }
-  catch ( ... )
-  {
-    return "unknown error";
-  }
-}
-
-bool is_budget_error( const std::exception_ptr& error )
-{
-  if ( !error )
-  {
-    return false;
-  }
-  try
-  {
-    std::rethrow_exception( error );
-  }
-  catch ( const budget_exhausted& )
-  {
-    return true;
-  }
-  catch ( ... )
-  {
-    return false;
-  }
-}
-
-/// Maps a tail task's terminal state back onto its point's status record
-/// (see `fill_flow_status_from_graph`, shared with the synthesis daemon).
-void fill_point_status( const task_graph& graph, task_id tail, dse_point& point )
-{
-  fill_flow_status_from_graph( graph, tail, point.result );
-}
-
-// --- frontier batch verification ---------------------------------------------
-
-/// Default sampling parameters of the inline ladder
-/// (`verify_against_aig_sampled_budgeted`'s defaults) — the batch pass must
-/// draw the same patterns to stay bit-identical to per-configuration calls.
-constexpr unsigned batch_verify_samples = 256;
-constexpr std::uint64_t batch_verify_seed = 1;
-
-/// True for configurations whose simulation-tier check the task-graph
-/// engines take over (`flow_params::defer_sim_verify`): the sampled and
-/// exhaustive tiers miter against the spec AIG and batch across the
-/// frontier; the functional flow's truth-table check and the SAT tier stay
-/// inline.
-bool defer_eligible( const flow_params& config )
-{
-  return config.verify && config.kind != flow_kind::functional &&
-         ( config.verification == verify_mode::sampled ||
-           config.verification == verify_mode::exhaustive );
-}
-
-/// One synthesized point whose inline check was deferred to the frontier
-/// batch pass.
-struct deferred_verify_slot
-{
-  flow_result* result = nullptr;
-  verify_mode tier = verify_mode::none;
-  unsigned rounds = 0;            ///< optimization rounds → spec artifact key
-  double deadline_seconds = 0.0;  ///< the configuration's own `limits.deadline_seconds`
-  const deadline* stop = nullptr; ///< the point's per-configuration deadline
-};
-
-/// The frontier batch-verification pass: groups the deferred points by
-/// (spec artifact, tier, per-configuration deadline budget) and checks
-/// each group in ONE SIMD-wide cross-circuit sweep — the spec AIG is walked
-/// once per lane group for the whole frontier instead of once per
-/// candidate.  Widths, sample counts, and seeds match the inline defaults
-/// exactly, so every patched report is bit-identical to the
-/// per-configuration call the tail skipped; only the wall clock changes
-/// (attributed evenly across the group's `verify_seconds`).
-void batch_verify_deferred( const aig_network& aig, flow_artifact_cache& cache,
-                            const std::vector<deferred_verify_slot>& slots )
-{
-  std::map<std::tuple<unsigned, verify_mode, double>, std::vector<const deferred_verify_slot*>>
-      groups;
-  for ( const auto& slot : slots )
-  {
-    groups[{ slot.rounds, slot.tier, slot.deadline_seconds }].push_back( &slot );
-  }
-  for ( auto& [key, group] : groups )
-  {
-    const auto tier = std::get<1>( key );
-    // Always a cache hit: every member's synthesis tail computed (or
-    // coalesced onto) this artifact before it could synthesize at all.
-    const auto& spec = cache.optimized( aig, std::get<0>( key ) );
-    std::vector<const reversible_circuit*> circuits;
-    circuits.reserve( group.size() );
-    for ( const auto* slot : group )
-    {
-      circuits.push_back( &slot->result->circuit );
-    }
-    // The widths the inline default overloads pick, so lane layout — and
-    // with it every verdict, counterexample, and coverage count — matches
-    // per-configuration verification bit for bit.
-    const auto width =
-        tier == verify_mode::exhaustive
-            ? ( spec.num_pis() > 24u
-                    ? sim_width::w512
-                    : auto_sim_width( std::uint64_t{ 1 } << spec.num_pis() ) )
-            : auto_sim_width( std::uint64_t{ batch_verify_samples } + 2u );
-    // Every member of a group carries the same per-configuration budget,
-    // armed at the same instant (the start of its exploration or design),
-    // so the first member's deadline serves the whole batch.  Configs with
-    // different budgets never share a group: one config's deadline must not
-    // decide another's verification.
-    const auto& stop = *group.front()->stop;
-    stopwatch watch;
-    std::vector<partial_verify_report> reports;
-    try
-    {
-      reports = tier == verify_mode::exhaustive
-                    ? verify_batch_against_aig_exhaustive_budgeted( circuits, spec, stop, width )
-                    : verify_batch_against_aig_sampled_budgeted(
-                          circuits, spec, stop, batch_verify_samples, batch_verify_seed, width );
-    }
-    catch ( const std::exception& e )
-    {
-      // Interface mismatch or a too-wide exhaustive space throws the same
-      // std::invalid_argument the inline call would have thrown inside
-      // each tail — keep the per-point failure isolation it had there.
-      for ( const auto* slot : group )
-      {
-        slot->result->status = flow_status::failed;
-        slot->result->status_detail = e.what();
-      }
-      continue;
-    }
-    const auto share = watch.elapsed_seconds() / static_cast<double>( group.size() );
-    for ( std::size_t i = 0; i < group.size(); ++i )
-    {
-      auto& result = *group[i]->result;
-      result.verified_with = tier;
-      record_sim_verify_report( result, reports[i] );
-      result.verify_seconds += share;
-      finalize_verify_status( result );
-    }
-  }
-}
-
-/// Collects the deferred-and-synthesized points of one exploration after
-/// its graph ran: a point joins the batch only when its tail completed (a
-/// poisoned/failed/cancelled tail keeps its status record — there is no
-/// circuit to check) and its inline ladder really did skip
-/// (`verified_with` still `none`).
-std::vector<deferred_verify_slot> collect_deferred_slots(
-    const task_graph& graph, const std::vector<flow_params>& configs,
-    const std::vector<task_id>& tails, const std::vector<deadline>& stops,
-    std::vector<dse_point>& points )
-{
-  std::vector<deferred_verify_slot> deferred;
-  for ( std::size_t i = 0; i < configs.size(); ++i )
-  {
-    if ( configs[i].defer_sim_verify && graph.state( tails[i] ) == task_state::done &&
-         points[i].result.verified_with == verify_mode::none )
-    {
-      deferred.push_back( { &points[i].result, configs[i].verification,
-                            configs[i].optimization_rounds, configs[i].limits.deadline_seconds,
-                            &stops[i] } );
-    }
-  }
-  return deferred;
-}
-
 } // namespace
 
 std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
@@ -285,16 +100,6 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
     stops.push_back( stop.tightened( params.limits.deadline_seconds ) );
   }
 
-  // The graph engine owns the simulation-tier checks of its frontier: the
-  // tails run with `defer_sim_verify` set (on a local copy — the recorded
-  // `points[i].params` keep the caller's configuration) and the batch pass
-  // after the run verifies the whole frontier in one cross-circuit sweep.
-  auto cfgs = configs;
-  for ( auto& config : cfgs )
-  {
-    config.defer_sim_verify = defer_eligible( config );
-  }
-
   // One dependency DAG per exploration — coalesced stage-artifact tasks
   // feeding unique per-configuration tails — so distinct artifacts compute
   // concurrently with each other and with every tail that is already
@@ -302,22 +107,21 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
   // deterministic, so the point list does not depend on the schedule.
   task_graph graph;
   std::vector<task_id> tails( configs.size() );
-  for ( std::size_t i = 0; i < cfgs.size(); ++i )
+  for ( std::size_t i = 0; i < configs.size(); ++i )
   {
-    points[i].label = dse_label( cfgs[i] );
+    points[i].label = dse_label( configs[i] );
     points[i].params = configs[i];
-    tails[i] = add_flow_tasks( graph, aig, cfgs[i], *cache, stops[i], points[i].result ).tail;
+    tails[i] = add_flow_tasks( graph, aig, configs[i], *cache, stops[i], points[i].result ).tail;
   }
 
   // Never start more workers than there are tasks to run.
   thread_pool pool( static_cast<unsigned>( std::min<std::size_t>(
       resolve_num_threads( options ), std::max<std::size_t>( graph.size(), 1 ) ) ) );
   graph.run( pool, stop );
-  for ( std::size_t i = 0; i < cfgs.size(); ++i )
+  for ( std::size_t i = 0; i < configs.size(); ++i )
   {
-    fill_point_status( graph, tails[i], points[i] );
+    fill_flow_status_from_graph( graph, tails[i], points[i].result );
   }
-  batch_verify_deferred( aig, *cache, collect_deferred_slots( graph, cfgs, tails, stops, points ) );
   if ( sched_stats )
   {
     *sched_stats = graph.stats();
@@ -421,9 +225,6 @@ std::vector<design_exploration> explore_designs_graph(
         config.verify = options.verification != verify_mode::none;
         config.verification = options.verification;
         config.limits = options.limits;
-        // The per-design batch pass after the run takes over this design's
-        // simulation-tier checks (see `batch_verify_deferred`).
-        config.defer_sim_verify = defer_eligible( config );
       }
       slot->cache.attach_store( options.store );
       slot->points.resize( slot->configs.size() );
@@ -456,9 +257,6 @@ std::vector<design_exploration> explore_designs_graph(
       {
         slot->points[i].label = dse_label( slot->configs[i] );
         slot->points[i].params = slot->configs[i];
-        // Recorded params are the swept configuration: the defer flag is
-        // the engine's internal routing, not part of it.
-        slot->points[i].params.defer_sim_verify = false;
         slot->tails.push_back( add_flow_tasks( graph, slot->aig, slot->configs[i], slot->cache,
                                                slot->stops[i], slot->points[i].result, prefix,
                                                { slot->elaborate } )
@@ -483,11 +281,8 @@ std::vector<design_exploration> explore_designs_graph(
       entry.points = std::move( build->points );
       for ( std::size_t i = 0; i < build->tails.size(); ++i )
       {
-        fill_point_status( graph, build->tails[i], entry.points[i] );
+        fill_flow_status_from_graph( graph, build->tails[i], entry.points[i].result );
       }
-      batch_verify_deferred( build->aig, build->cache,
-                             collect_deferred_slots( graph, build->configs, build->tails,
-                                                     build->stops, entry.points ) );
       aggregate_design_status( entry );
       entry.cache = build->cache.stats();
     }
@@ -495,9 +290,10 @@ std::vector<design_exploration> explore_designs_graph(
     {
       // Elaboration failed, timed out, or was cancelled by the sweep
       // deadline: empty point list, design-level status record.
-      const auto error = graph.error( build->elaborate );
-      entry.status = is_budget_error( error ) ? flow_status::timed_out : flow_status::failed;
-      entry.status_detail = error_what( error );
+      flow_result elaboration;
+      fill_flow_status_from_graph( graph, build->elaborate, elaboration );
+      entry.status = elaboration.status;
+      entry.status_detail = elaboration.status_detail;
     }
     // Wall clock of this design = span of its own tasks inside the batch
     // run (0 when nothing of it ever started).

@@ -10,8 +10,9 @@
 /// The exploration engine is the task graph (`core/task_graph.hpp`):
 /// shared stage artifacts (optimized AIG, minimized ESOP cube list,
 /// resynthesized XMG) are computed once per design through a
-/// `flow_artifact_cache`, and the per-configuration synthesis tails run on
-/// the work-stealing pool.  Result ordering — and every cost number — is
+/// `flow_artifact_cache`, and the per-configuration tails — synthesis, then
+/// that circuit's verification, inline — run on the work-stealing pool.
+/// Result ordering — and every cost number and verification report — is
 /// identical to a sequential loop of `run_flow_on_aig`, one call per
 /// configuration; only the wall clock changes.
 
@@ -77,9 +78,8 @@ std::string dse_label( const flow_params& params );
 /// work-stealing pool.  The returned points are ordered exactly like
 /// `configs`, and with unlimited budgets every cost, circuit and
 /// verification report is bit-identical to calling `run_flow_on_aig` once
-/// per configuration.  (The sampled and exhaustive checks run in one batch
-/// pass after the graph, so under a deadline a configuration can run out
-/// of time there where an inline check would still have fit.)
+/// per configuration.  Each tail verifies its circuit inline under the
+/// configuration's own deadline, as `run_flow_on_aig` does.
 ///
 /// The sweep deadline is `options.sweep_deadline_seconds`; each
 /// configuration's own `limits.deadline_seconds` tightens it further.  A

@@ -563,6 +563,13 @@ void fill_flow_status_from_graph( const task_graph& graph, task_id tail, flow_re
 
 // --- staged flow driver ------------------------------------------------------
 
+namespace
+{
+
+/// Copies a simulation-tier verification report into a flow result —
+/// verdict, counterexample, and the coverage accounting fields.  The
+/// caller sets `result.verified_with` to the tier that produced the
+/// report.
 void record_sim_verify_report( flow_result& result, const partial_verify_report& report )
 {
   result.counterexample = report.counterexample;
@@ -572,6 +579,11 @@ void record_sim_verify_report( flow_result& result, const partial_verify_report&
   result.verified = report.complete && !report.counterexample.has_value();
 }
 
+/// Applies the verification-phase status taxonomy to a result whose
+/// verify fields are final: a counterexample is a definitive verdict
+/// regardless of coverage; without one, partial coverage degrades the
+/// result (or times it out when nothing ran), and a downgrade to a
+/// weaker-than-requested tier degrades even at full coverage.
 void finalize_verify_status( flow_result& result )
 {
   if ( result.counterexample.has_value() )
@@ -600,6 +612,8 @@ void finalize_verify_status( flow_result& result )
     result.status_detail = "sat verify budget exhausted; downgraded to sampled";
   }
 }
+
+} // namespace
 
 flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
                              flow_artifact_cache& cache )
@@ -668,9 +682,6 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
     stopwatch verify_watch;
     // `verified_with` is assigned by the branch that actually produces the
     // verdict, so a downgraded SAT tier reports the fallback tier.
-    const auto record_report = [&result]( const partial_verify_report& report ) {
-      record_sim_verify_report( result, report );
-    };
     switch ( mode )
     {
     case verify_mode::none:
@@ -684,19 +695,14 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
         result.verified_with = mode;
         result.verified = verify_against_truth_tables( result.circuit, *verify_outputs );
       }
-      else if ( params.defer_sim_verify )
-      {
-        // The sweep engine owns this check: one wide cross-circuit batched
-        // pass over the whole frontier replaces the per-configuration pass
-        // (`verified_with` stays `none` until the batch report lands).
-      }
       else
       {
         result.verified_with = mode;
-        record_report( mode == verify_mode::sampled
-                           ? verify_against_aig_sampled_budgeted( result.circuit, optimized, stop )
-                           : verify_against_aig_exhaustive_budgeted( result.circuit, optimized,
-                                                                     stop ) );
+        record_sim_verify_report(
+            result, mode == verify_mode::sampled
+                        ? verify_against_aig_sampled_budgeted( result.circuit, optimized, stop )
+                        : verify_against_aig_exhaustive_budgeted( result.circuit, optimized,
+                                                                  stop ) );
       }
       break;
     case verify_mode::sat:
@@ -736,12 +742,14 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
         if ( exhaustive_fits && !stop.expired() )
         {
           result.verified_with = verify_mode::exhaustive;
-          record_report( verify_against_aig_exhaustive_budgeted( result.circuit, optimized, stop ) );
+          record_sim_verify_report(
+              result, verify_against_aig_exhaustive_budgeted( result.circuit, optimized, stop ) );
         }
         else
         {
           result.verified_with = verify_mode::sampled;
-          record_report( verify_against_aig_sampled_budgeted( result.circuit, optimized, stop ) );
+          record_sim_verify_report(
+              result, verify_against_aig_sampled_budgeted( result.circuit, optimized, stop ) );
         }
       }
       break;
@@ -751,12 +759,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
 
     // Status accounting of the verification phase (an exhaustive fallback
     // proof is as strong as the requested SAT proof, so it stays `ok`).
-    // A deferred check skips this too — the fields are all defaults — and
-    // the sweep engine finalizes after its batch pass.
-    if ( !( params.defer_sim_verify && result.verified_with == verify_mode::none ) )
-    {
-      finalize_verify_status( result );
-    }
+    finalize_verify_status( result );
   }
   return result;
 }

@@ -29,7 +29,10 @@
 /// sampling, bit-parallel exhaustive enumeration (64–512 assignments per
 /// gate pass, wide_sim.hpp), or the incremental SAT
 /// equivalence engine (`sat::incremental_cec`) — the ladder mirrors the
-/// paper's closing ABC `cec` call.  The cache owns the sweep's persistent
+/// paper's closing ABC `cec` call, one check per synthesized circuit.  The
+/// check always runs inline, at the end of the flow's own synthesis tail,
+/// so a DSE sweep point and a `run_flow_on_aig` call verify the same way
+/// under the same deadline.  The cache owns the sweep's persistent
 /// engine (`sat_engine()`), so every `sat`-tier check of a sweep shares
 /// one encoding and its learned lemmas.
 /// The flow result carries the reversible circuit, the cost report, the
@@ -131,17 +134,6 @@ struct flow_params
   bool bidirectional_tbs = true;    ///< functional flow
   bool verify = true;               ///< master toggle (false == verify_mode::none)
   verify_mode verification = verify_mode::sampled; ///< tier used when verify is on
-  /// Internal to the DSE frontier batch-verification path: when true and
-  /// the tier is `sampled`/`exhaustive` against the spec AIG (not the
-  /// functional flow's truth-table check, which has no AIG miter),
-  /// `run_flow_staged` skips verification and leaves `verified_with ==
-  /// none`; the sweep engine then checks the whole frontier in one
-  /// SIMD-wide cross-circuit batched pass
-  /// (`verify_batch_against_aig_*_budgeted`) and applies each report via
-  /// `record_sim_verify_report` + `finalize_verify_status`.  Verdicts,
-  /// counterexamples, and coverage accounting are bit-identical to inline
-  /// verification; only the wall clock changes.
-  bool defer_sim_verify = false;
   /// Resource limits (deadline, SAT conflict/propagation caps, EXORCISM
   /// pair cap, degradation threshold).  The default is unlimited and
   /// bit-identical to the unbudgeted engine.
@@ -188,23 +180,6 @@ struct flow_result
   unsigned embedding_lines = 0;      ///< functional flow (optimum r)
   std::uint64_t max_collisions = 0;  ///< functional flow (mu)
 };
-
-struct partial_verify_report;
-
-/// Copies a simulation-tier verification report into a flow result —
-/// verdict, counterexample, and the coverage accounting fields.  The
-/// caller sets `result.verified_with` to the tier that produced the
-/// report.  Shared by the inline verify ladder of `run_flow_staged` and
-/// the DSE frontier batch-verification path.
-void record_sim_verify_report( flow_result& result, const partial_verify_report& report );
-
-/// Applies the verification-phase status taxonomy to a result whose
-/// verify fields are final: a counterexample is a definitive verdict
-/// regardless of coverage; without one, partial coverage degrades the
-/// result (or times it out when nothing ran), and a downgrade to a
-/// weaker-than-requested tier degrades even at full coverage.  Idempotent;
-/// shared like `record_sim_verify_report`.
-void finalize_verify_status( flow_result& result );
 
 namespace store
 {
@@ -407,7 +382,8 @@ flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
 /// (when the underlying error is `budget_exhausted`) or `failed`, and a
 /// poisoned tail's detail names the failing stage task — artifact key and
 /// stage name — so a shared-stage failure stays attributable per
-/// requester.  Shared by the DSE sweep engines and the synthesis daemon.
+/// requester.  Shared by the DSE sweep engine (for its tails and for a
+/// design's root elaboration task) and the synthesis daemon.
 void fill_flow_status_from_graph( const task_graph& graph, task_id tail, flow_result& out );
 
 /// Runs a flow on an already-elaborated AIG, reading shared stage

@@ -173,16 +173,13 @@ bool verify_against_truth_tables( const reversible_circuit& circuit,
 namespace
 {
 
-/// Shared frontier sweep behind the exhaustive tiers: every circuit is
-/// checked against the same spec AIG in one counter-order enumeration, the
-/// spec simulated once per lane group.  Failed candidates retire from the
-/// remaining passes; their reports are already final.  Word-by-word
-/// comparison in block order keeps the first-counterexample contract (the
-/// lowest failing assignment in counter order) and the per-assignment
-/// coverage accounting identical at every width.
-std::vector<partial_verify_report>
-exhaustive_wide( const std::vector<const reversible_circuit*>& circuits, const aig_network& aig,
-                 const deadline& stop, sim_width width )
+/// The exhaustive tier: one counter-order enumeration, the spec and the
+/// circuit simulated once per lane group.  Word-by-word comparison in block
+/// order keeps the first-counterexample contract (the lowest failing
+/// assignment in counter order) and the per-assignment coverage accounting
+/// identical at every width.
+partial_verify_report exhaustive_wide( const reversible_circuit& circuit, const aig_network& aig,
+                                       const deadline& stop, sim_width width )
 {
   const auto W = words_of( width );
   const auto num_pis = aig.num_pis();
@@ -190,78 +187,52 @@ exhaustive_wide( const std::vector<const reversible_circuit*>& circuits, const a
   {
     throw std::invalid_argument( "verify_against_aig_exhaustive: too many inputs" );
   }
-  std::vector<wide_simulator> sims;
-  sims.reserve( circuits.size() );
-  for ( const auto* circuit : circuits )
+  wide_simulator sim( circuit, width );
+  if ( sim.input_lines().size() != num_pis || sim.output_lines().size() != aig.num_pos() )
   {
-    sims.emplace_back( *circuit, width );
-    if ( sims.back().input_lines().size() != num_pis ||
-         sims.back().output_lines().size() != aig.num_pos() )
-    {
-      throw std::invalid_argument( "verify_against_aig_exhaustive: interface mismatch" );
-    }
+    throw std::invalid_argument( "verify_against_aig_exhaustive: interface mismatch" );
   }
-  std::vector<partial_verify_report> reports( circuits.size() );
-  std::vector<char> live( circuits.size(), 1 );
-  auto num_live = circuits.size();
-  for ( auto& report : reports )
-  {
-    report.assignments_requested = std::uint64_t{ 1 } << num_pis;
-  }
+  partial_verify_report report;
+  report.assignments_requested = std::uint64_t{ 1 } << num_pis;
   wide_aig_simulator spec( aig, width );
   const auto poll_deadline = !stop.unlimited();
   const auto mask = block_mask( num_pis );
   const auto num_blocks = num_blocks_for( num_pis );
   std::vector<std::uint64_t> words( std::size_t{ num_pis } * W );
-  for ( std::uint64_t blk = 0; blk < num_blocks && num_live > 0; blk += W )
+  for ( std::uint64_t blk = 0; blk < num_blocks; blk += W )
   {
     if ( poll_deadline && stop.expired() )
     {
-      for ( std::size_t c = 0; c < reports.size(); ++c )
-      {
-        if ( live[c] )
-        {
-          reports[c].complete = false;
-        }
-      }
-      return reports;
+      report.complete = false;
+      return report;
     }
     fill_counter_wide( num_pis, blk, W, words );
     const auto& expected = spec.evaluate( words );
-    for ( std::size_t c = 0; c < sims.size(); ++c )
+    const auto& actual = sim.evaluate( words );
+    for ( unsigned k = 0; k < W && blk + k < num_blocks; ++k )
     {
-      if ( !live[c] )
+      if ( const auto diff = diff_word_wide( expected, actual, W, k ) & mask )
       {
-        continue;
+        report.counterexample =
+            unpack_wide_lane( words, W, k, static_cast<unsigned>( lsb_index( diff ) ) );
+        report.assignments_completed += lsb_index( diff ) + 1u;
+        return report;
       }
-      const auto& actual = sims[c].evaluate( words );
-      for ( unsigned k = 0; k < W && blk + k < num_blocks; ++k )
-      {
-        if ( const auto diff = diff_word_wide( expected, actual, W, k ) & mask )
-        {
-          reports[c].counterexample =
-              unpack_wide_lane( words, W, k, static_cast<unsigned>( lsb_index( diff ) ) );
-          reports[c].assignments_completed += lsb_index( diff ) + 1u;
-          live[c] = 0;
-          --num_live;
-          break;
-        }
-        reports[c].assignments_completed += std::min<std::uint64_t>(
-            64u, reports[c].assignments_requested - ( blk + k ) * 64u );
-      }
+      report.assignments_completed +=
+          std::min<std::uint64_t>( 64u, report.assignments_requested - ( blk + k ) * 64u );
     }
   }
-  return reports;
+  return report;
 }
 
-/// Shared frontier sweep behind the sampled tiers.  The rng stream is
-/// consumed one word per input per 64-lane block, in block order, so every
-/// width and batch shape sees identical patterns.  Lane masking plus
-/// per-64-block accounting keeps `assignments_completed` exact (never rounded up to lane-group
-/// granularity) when the request size is not lane-aligned.
-std::vector<partial_verify_report>
-sampled_wide( const std::vector<const reversible_circuit*>& circuits, const aig_network& aig,
-              const deadline& stop, unsigned num_samples, std::uint64_t seed, sim_width width )
+/// The sampled tier.  The rng stream is consumed one word per input per
+/// 64-lane block, in block order, so every width sees identical patterns.
+/// Lane masking plus per-64-block accounting keeps `assignments_completed`
+/// exact (never rounded up to lane-group granularity) when the request
+/// size is not lane-aligned.
+partial_verify_report sampled_wide( const reversible_circuit& circuit, const aig_network& aig,
+                                    const deadline& stop, unsigned num_samples,
+                                    std::uint64_t seed, sim_width width )
 {
   const auto num_pis = aig.num_pis();
   // When the whole input space is no larger than the sample budget,
@@ -269,44 +240,27 @@ sampled_wide( const std::vector<const reversible_circuit*>& circuits, const aig_
   // vectors and could certify a tiny design without ever covering it.
   if ( num_pis <= 24u && ( std::uint64_t{ 1 } << num_pis ) <= num_samples )
   {
-    return exhaustive_wide( circuits, aig, stop, width );
+    return exhaustive_wide( circuit, aig, stop, width );
   }
   const auto W = words_of( width );
-  std::vector<wide_simulator> sims;
-  sims.reserve( circuits.size() );
-  for ( const auto* circuit : circuits )
+  wide_simulator sim( circuit, width );
+  if ( sim.input_lines().size() != num_pis || sim.output_lines().size() != aig.num_pos() )
   {
-    sims.emplace_back( *circuit, width );
-    if ( sims.back().input_lines().size() != num_pis ||
-         sims.back().output_lines().size() != aig.num_pos() )
-    {
-      throw std::invalid_argument( "verify_against_aig_sampled: interface mismatch" );
-    }
+    throw std::invalid_argument( "verify_against_aig_sampled: interface mismatch" );
   }
   std::mt19937_64 rng( seed );
-  const std::uint64_t total = std::uint64_t{ num_samples } + 2u;
-  std::vector<partial_verify_report> reports( circuits.size() );
-  std::vector<char> live( circuits.size(), 1 );
-  auto num_live = circuits.size();
-  for ( auto& report : reports )
-  {
-    report.assignments_requested = total;
-  }
+  partial_verify_report report;
+  report.assignments_requested = std::uint64_t{ num_samples } + 2u;
+  const auto total = report.assignments_requested;
   wide_aig_simulator spec( aig, width );
   const auto poll_deadline = !stop.unlimited();
   std::vector<std::uint64_t> words( std::size_t{ num_pis } * W );
-  for ( std::uint64_t base = 0; base < total && num_live > 0; base += std::uint64_t{ 64 } * W )
+  for ( std::uint64_t base = 0; base < total; base += std::uint64_t{ 64 } * W )
   {
     if ( poll_deadline && stop.expired() )
     {
-      for ( std::size_t c = 0; c < reports.size(); ++c )
-      {
-        if ( live[c] )
-        {
-          reports[c].complete = false;
-        }
-      }
-      return reports;
+      report.complete = false;
+      return report;
     }
     // One rng word per input per 64-lane block = 64 independent random
     // assignments per word; words past the request stay zero (masked out)
@@ -326,31 +280,22 @@ sampled_wide( const std::vector<const reversible_circuit*>& circuits, const aig_
       }
     }
     const auto& expected = spec.evaluate( words );
-    for ( std::size_t c = 0; c < sims.size(); ++c )
+    const auto& actual = sim.evaluate( words );
+    for ( unsigned k = 0; k < W && base + std::uint64_t{ 64 } * k < total; ++k )
     {
-      if ( !live[c] )
+      const auto lanes = std::min<std::uint64_t>( 64u, total - ( base + std::uint64_t{ 64 } * k ) );
+      const auto lane_mask = lanes == 64u ? all_ones : ( std::uint64_t{ 1 } << lanes ) - 1u;
+      if ( const auto diff = diff_word_wide( expected, actual, W, k ) & lane_mask )
       {
-        continue;
+        report.counterexample =
+            unpack_wide_lane( words, W, k, static_cast<unsigned>( lsb_index( diff ) ) );
+        report.assignments_completed += lsb_index( diff ) + 1u;
+        return report;
       }
-      const auto& actual = sims[c].evaluate( words );
-      for ( unsigned k = 0; k < W && base + std::uint64_t{ 64 } * k < total; ++k )
-      {
-        const auto lanes = std::min<std::uint64_t>( 64u, total - ( base + std::uint64_t{ 64 } * k ) );
-        const auto lane_mask = lanes == 64u ? all_ones : ( std::uint64_t{ 1 } << lanes ) - 1u;
-        if ( const auto diff = diff_word_wide( expected, actual, W, k ) & lane_mask )
-        {
-          reports[c].counterexample =
-              unpack_wide_lane( words, W, k, static_cast<unsigned>( lsb_index( diff ) ) );
-          reports[c].assignments_completed += lsb_index( diff ) + 1u;
-          live[c] = 0;
-          --num_live;
-          break;
-        }
-        reports[c].assignments_completed += lanes;
-      }
+      report.assignments_completed += lanes;
     }
   }
-  return reports;
+  return report;
 }
 
 } // namespace
@@ -360,7 +305,7 @@ partial_verify_report verify_against_aig_exhaustive_budgeted( const reversible_c
                                                               const deadline& stop,
                                                               sim_width width )
 {
-  return exhaustive_wide( { &circuit }, aig, stop, width ).front();
+  return exhaustive_wide( circuit, aig, stop, width );
 }
 
 partial_verify_report verify_against_aig_exhaustive_budgeted( const reversible_circuit& circuit,
@@ -385,7 +330,7 @@ partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circ
                                                            unsigned num_samples,
                                                            std::uint64_t seed, sim_width width )
 {
-  return sampled_wide( { &circuit }, aig, stop, num_samples, seed, width ).front();
+  return sampled_wide( circuit, aig, stop, num_samples, seed, width );
 }
 
 partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circuit& circuit,
@@ -405,23 +350,6 @@ std::optional<std::vector<bool>> verify_against_aig_sampled( const reversible_ci
 {
   return verify_against_aig_sampled_budgeted( circuit, aig, deadline{}, num_samples, seed )
       .counterexample;
-}
-
-std::vector<partial_verify_report>
-verify_batch_against_aig_exhaustive_budgeted( const std::vector<const reversible_circuit*>& circuits,
-                                              const aig_network& aig, const deadline& stop,
-                                              sim_width width )
-{
-  return exhaustive_wide( circuits, aig, stop, width );
-}
-
-std::vector<partial_verify_report>
-verify_batch_against_aig_sampled_budgeted( const std::vector<const reversible_circuit*>& circuits,
-                                           const aig_network& aig, const deadline& stop,
-                                           unsigned num_samples, std::uint64_t seed,
-                                           sim_width width )
-{
-  return sampled_wide( circuits, aig, stop, num_samples, seed, width );
 }
 
 // --- SAT tier ----------------------------------------------------------------

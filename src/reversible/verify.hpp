@@ -20,7 +20,8 @@
 /// unrolled lanes by default, AVX2/AVX-512 words when compiled in and the
 /// CPU agrees).  Every width is bit-identical by contract; the independent
 /// oracle it is pinned against is the scalar `evaluate_circuit` below
-/// (tests/test_verify.cpp).
+/// (tests/test_verify.cpp).  Each verifier checks one circuit per call; a
+/// DSE sweep makes one call per point, inside that point's task.
 ///
 /// Conventions: input variable i lives on the i-th line flagged
 /// `is_primary_input` (in line order); constant ancillae carry
@@ -130,32 +131,6 @@ partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circ
                                                            const deadline& stop,
                                                            unsigned num_samples,
                                                            std::uint64_t seed, sim_width width );
-
-/// Cross-circuit batched verification of one sweep frontier: checks every
-/// candidate circuit against the same specification AIG in a single
-/// counter-order sweep, walking the spec once per lane group instead of
-/// once per candidate (`wide_aig_simulator` persists its node values
-/// across the whole frontier).  Candidates that already failed drop out of
-/// the remaining passes.  Each returned report is bit-identical to the
-/// corresponding individual `verify_against_aig_exhaustive_budgeted` call
-/// at the same width (deadline expiry aside: the batch polls one shared
-/// deadline and marks every still-running candidate partial).  Null
-/// pointers are not allowed; every circuit must match the AIG's interface.
-std::vector<partial_verify_report>
-verify_batch_against_aig_exhaustive_budgeted( const std::vector<const reversible_circuit*>& circuits,
-                                              const aig_network& aig, const deadline& stop,
-                                              sim_width width );
-
-/// Batched counterpart of `verify_against_aig_sampled_budgeted`: one
-/// random-pattern stream drives the whole frontier (the per-candidate
-/// reports are bit-identical to individual sampled calls with the same
-/// seed and width).  The small-design exhaustive delegation applies to the
-/// whole batch at once.
-std::vector<partial_verify_report>
-verify_batch_against_aig_sampled_budgeted( const std::vector<const reversible_circuit*>& circuits,
-                                           const aig_network& aig, const deadline& stop,
-                                           unsigned num_samples, std::uint64_t seed,
-                                           sim_width width );
 
 /// Extracts the function computed by the circuit as an AIG: one PI per
 /// primary-input line (in input order), one PO per output index.  Constant

@@ -202,10 +202,16 @@ wide_simulator::wide_simulator( const reversible_circuit& circuit, sim_width wid
   const auto W = words_of( width_ );
   targets_.reserve( circuit.num_gates() );
   control_offsets_.reserve( circuit.num_gates() + 1u );
-  // Toffoli-dominated cascades average ~2 controls per gate; reserving for
-  // that keeps the flattening pass to at most one late regrowth.
-  control_lines_.reserve( 2u * circuit.num_gates() );
-  control_inverts_.reserve( 2u * circuit.num_gates() );
+  // Exact sizes: on large cascades a guessed reserve over-allocates by
+  // megabytes, and verification runs on the pool's worker threads, whose
+  // malloc arenas keep freed memory resident.
+  std::size_t num_controls = 0;
+  for ( const auto& g : circuit.gates() )
+  {
+    num_controls += g.controls.size();
+  }
+  control_lines_.reserve( num_controls );
+  control_inverts_.reserve( num_controls );
   control_offsets_.push_back( 0u );
   for ( const auto& g : circuit.gates() )
   {

@@ -131,9 +131,8 @@ private:
 /// Width-generic AIG pattern simulator, the spec-side counterpart of
 /// `wide_simulator`: one topological node walk settles a whole lane group,
 /// and the flattened fanin arrays plus the values buffer persist across
-/// calls — a batched verification sweep walks the spec once per group, not
-/// once per candidate circuit.  The referenced AIG must outlive the
-/// simulator.
+/// calls, so a verification pass allocates once, not once per group.  The
+/// referenced AIG must outlive the simulator.
 class wide_aig_simulator
 {
 public:

@@ -1,9 +1,12 @@
 #include "daemon.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -290,21 +293,13 @@ std::string field_or( const std::map<std::string, std::string>& fields, const st
   return it == fields.end() ? fallback : it->second;
 }
 
-unsigned uint_field( const std::map<std::string, std::string>& fields, const std::string& key,
-                     unsigned fallback )
+/// Counts and seconds are plain non-negative decimals, the rule `qsynd`
+/// applies to its command-line sizes: the token must start with a digit.
+/// Without it `strtoull` wraps "-1" to 2^64 - 1 (a silently unlimited
+/// budget) and `strtod` reads "inf" and "nan".
+bool starts_with_digit( const std::string& text )
 {
-  const auto it = fields.find( key );
-  if ( it == fields.end() )
-  {
-    return fallback;
-  }
-  std::size_t pos = 0;
-  const auto value = std::stoul( it->second, &pos );
-  if ( pos != it->second.size() || value > 0xffffffffull )
-  {
-    throw std::runtime_error( "field '" + key + "' is not an unsigned integer" );
-  }
-  return static_cast<unsigned>( value );
+  return !text.empty() && std::isdigit( static_cast<unsigned char>( text[0] ) ) != 0;
 }
 
 std::uint64_t u64_field( const std::map<std::string, std::string>& fields, const std::string& key,
@@ -315,15 +310,30 @@ std::uint64_t u64_field( const std::map<std::string, std::string>& fields, const
   {
     return fallback;
   }
-  std::size_t pos = 0;
-  const auto value = std::stoull( it->second, &pos );
-  if ( pos != it->second.size() )
+  const auto& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const auto value = std::strtoull( text.c_str(), &end, 10 );
+  if ( !starts_with_digit( text ) || errno == ERANGE || end != text.c_str() + text.size() )
   {
     throw std::runtime_error( "field '" + key + "' is not an unsigned integer" );
   }
   return value;
 }
 
+unsigned uint_field( const std::map<std::string, std::string>& fields, const std::string& key,
+                     unsigned fallback )
+{
+  const auto value = u64_field( fields, key, fallback );
+  if ( value > 0xffffffffull )
+  {
+    throw std::runtime_error( "field '" + key + "' is not an unsigned integer" );
+  }
+  return static_cast<unsigned>( value );
+}
+
+/// A finite non-negative number of seconds.  Finite values too long for
+/// the clock are accepted: `deadline` saturates them to unlimited.
 double double_field( const std::map<std::string, std::string>& fields, const std::string& key,
                      double fallback )
 {
@@ -332,11 +342,12 @@ double double_field( const std::map<std::string, std::string>& fields, const std
   {
     return fallback;
   }
-  std::size_t pos = 0;
-  const auto value = std::stod( it->second, &pos );
-  if ( pos != it->second.size() || value < 0.0 )
+  const auto& text = it->second;
+  char* end = nullptr;
+  const auto value = std::strtod( text.c_str(), &end );
+  if ( !starts_with_digit( text ) || end != text.c_str() + text.size() || !std::isfinite( value ) )
   {
-    throw std::runtime_error( "field '" + key + "' is not a non-negative number" );
+    throw std::runtime_error( "field '" + key + "' is not a finite non-negative number" );
   }
   return value;
 }

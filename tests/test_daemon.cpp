@@ -556,6 +556,31 @@ TEST( daemon, out_of_range_cut_size_is_rejected_before_synthesis )
   EXPECT_EQ( daemon.stats().errors, 2u );
 }
 
+TEST( daemon, non_finite_deadlines_and_signed_counts_are_rejected )
+{
+  // Regression: `deadline` took any number `stod` reads (a NaN passed the
+  // `< 0` check, `inf` and 1e10 overflowed the deadline's clock and expired
+  // it at once), and `sat_conflicts` took "-1" as a 2^64 - 1 budget.
+  synthesis_daemon daemon( {} );
+  const std::string request =
+      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop",)";
+  // A finite deadline too long for the clock is no deadline: the flow runs.
+  const auto huge = daemon.handle_request( request + R"("deadline":1e10})" );
+  EXPECT_TRUE( contains( huge, "\"ok\":true" ) ) << huge;
+  EXPECT_TRUE( contains( huge, "\"status\":\"ok\"" ) ) << huge;
+  for ( const std::string field :
+        { R"("deadline":inf)", R"("deadline":nan)", R"("sat_conflicts":-1)" } )
+  {
+    const auto response = daemon.handle_request( request + field + "}" );
+    EXPECT_TRUE( contains( response, "\"ok\":false" ) ) << field << ": " << response;
+    const auto key = field.substr( 1, field.find( '"', 1 ) - 1 );
+    EXPECT_TRUE( contains( response, "field '" + key + "' is not a" ) )
+        << field << ": " << response;
+  }
+  EXPECT_EQ( daemon.stats().synthesized, 1u );
+  EXPECT_EQ( daemon.stats().errors, 3u );
+}
+
 TEST( daemon, stop_returns_while_an_idle_client_stays_connected )
 {
   temp_dir dir;

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -130,6 +131,30 @@ TEST( robustness_deadline, tightened_takes_the_tighter_limit )
   // Nonpositive seconds leave the deadline unchanged (still unlimited here).
   EXPECT_TRUE( deadline{}.tightened( 0.0 ).unlimited() );
   EXPECT_FALSE( deadline{}.tightened( 1.0 ).unlimited() );
+}
+
+TEST( robustness_deadline, out_of_range_seconds_saturate_to_unlimited )
+{
+  // Regression: `in` and `tightened` converted seconds into the clock's
+  // int64 tick count unchecked — undefined behaviour from ~9.2e9 s on, and
+  // in practice a deadline that had already expired — and `tightened( NaN )`
+  // expired at once because `NaN <= 0` is false.  A limit too long for the
+  // clock means no limit; so does NaN.
+  const auto inf = std::numeric_limits<double>::infinity();
+  const auto nan = std::numeric_limits<double>::quiet_NaN();
+  for ( const double seconds : { 1e10, 1e300, inf, nan } )
+  {
+    SCOPED_TRACE( testing::Message() << "seconds=" << seconds );
+    EXPECT_TRUE( deadline::in( seconds ).unlimited() );
+    EXPECT_FALSE( deadline::in( seconds ).expired() );
+    EXPECT_TRUE( deadline{}.tightened( seconds ).unlimited() );
+    EXPECT_FALSE( deadline{}.tightened( seconds ).expired() );
+    // A finite deadline keeps its own limit.
+    const auto hour = deadline::in( 3600.0 ).tightened( seconds );
+    EXPECT_FALSE( hour.expired() );
+    EXPECT_GT( hour.remaining_seconds(), 3500.0 );
+    EXPECT_LE( hour.remaining_seconds(), 3600.0 );
+  }
 }
 
 // --- thread pool: full exception collection + cancellation -------------------
@@ -559,19 +584,18 @@ TEST( robustness_dse, unlimited_budgets_are_bit_identical_to_the_default )
   }
 }
 
-// --- Verilog diagnostics: file/line/token context ----------------------------
-
-TEST( robustness_dse, batch_verify_runs_each_point_under_its_own_deadline )
+TEST( robustness_dse, deadline_limited_points_verify_like_run_flow_on_aig )
 {
-  // Regression: the frontier batch pass grouped deferred points by
-  // (spec artifact, tier) and ran a whole group under its first member's
-  // deadline, so one configuration's `limits.deadline_seconds` decided
-  // another configuration's verification.  Here an ESOP point with a finite
-  // deadline leads a group that also holds an unlimited hierarchical point.
+  // Every DSE point verifies inline, at the end of its own tail, exactly as
+  // `run_flow_on_aig` verifies it.  Here an ESOP point with a finite
+  // deadline shares the spec artifact with an unlimited hierarchical point.
   // The deadline sits midway between the ESOP configuration's own finish
-  // and the end of the graph: the ESOP tail synthesizes in time, the batch
-  // pass starts after it expired, and the unlimited point must still be
-  // verified in full, exactly as `run_flow_on_aig` verifies it.
+  // and the end of the graph, so:
+  //   * the ESOP point synthesizes and verifies within its deadline, like
+  //     `run_flow_on_aig` under the same deadline, although the graph as a
+  //     whole runs past it;
+  //   * the unlimited point is verified in full — one configuration's
+  //     deadline never decides another configuration's verification.
   const auto mod =
       verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 10 ) );
   flow_params esop;
@@ -594,6 +618,18 @@ TEST( robustness_dse, batch_verify_runs_each_point_under_its_own_deadline )
 
   esop.limits.deadline_seconds = 0.5 * ( esop_seconds + both_seconds );
   const auto points = explore( mod.aig, { esop, hier }, options );
+
+  const auto want_esop = run_flow_on_aig( mod.aig, esop );
+  const auto& got_esop = points[0].result;
+  EXPECT_EQ( want_esop.status, flow_status::ok ) << want_esop.status_detail;
+  EXPECT_EQ( got_esop.status, flow_status::ok ) << got_esop.status_detail;
+  EXPECT_TRUE( got_esop.verified );
+  EXPECT_EQ( got_esop.verified_with, want_esop.verified_with );
+  EXPECT_EQ( got_esop.verify_complete, want_esop.verify_complete );
+  EXPECT_EQ( got_esop.verify_samples_requested, want_esop.verify_samples_requested );
+  EXPECT_EQ( got_esop.verify_samples_completed, want_esop.verify_samples_completed );
+  EXPECT_EQ( got_esop.verify_samples_completed, got_esop.verify_samples_requested );
+
   const auto want = run_flow_on_aig( mod.aig, hier );
   const auto& got = points[1].result;
   EXPECT_EQ( got.status, flow_status::ok ) << got.status_detail;
@@ -603,6 +639,8 @@ TEST( robustness_dse, batch_verify_runs_each_point_under_its_own_deadline )
   EXPECT_EQ( got.verify_samples_completed, want.verify_samples_completed );
   EXPECT_EQ( got.verify_samples_completed, got.verify_samples_requested );
 }
+
+// --- Verilog diagnostics: file/line/token context ----------------------------
 
 TEST( robustness_verilog, parser_errors_carry_file_line_and_token )
 {

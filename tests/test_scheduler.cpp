@@ -10,7 +10,7 @@
 ///     oracle — one `run_flow_on_aig` call per configuration, in order —
 ///     on every flow kind and verification tier, for single designs and
 ///     whole batches (circuits, costs, verdicts, counterexamples, coverage
-///     and status, including the frontier batch-verified points),
+///     and status),
 ///   * stage failures stay attributable per point: the status detail names
 ///     the artifact key and stage that failed, shared task or not.
 
@@ -73,7 +73,7 @@ struct fault_guard
 
 /// The independent scheduler oracle: one `run_flow_on_aig` call per
 /// configuration, in order, each on its own private cache — no graph, no
-/// shared artifacts, no deferred verification.
+/// shared artifacts, no shared SAT engine.
 std::vector<flow_result> sequential_flows( const aig_network& aig,
                                            const std::vector<flow_params>& configs )
 {
@@ -556,9 +556,9 @@ TEST( scheduler_dse, task_graph_matches_sequential_run_flow_bit_for_bit )
 {
   const auto mod =
       verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 5 ) );
-  // Every verification tier: the graph defers the sampled and exhaustive
-  // checks to the frontier batch pass and shares one SAT engine across the
-  // sweep, while the oracle verifies each configuration inline on its own.
+  // Every verification tier: the graph's tails verify inline and share one
+  // SAT engine across the sweep, while the oracle verifies each
+  // configuration on its own private cache and engine.
   for ( const auto tier : { verify_mode::sampled, verify_mode::exhaustive, verify_mode::sat } )
   {
     auto configs = default_dse_configurations( true );

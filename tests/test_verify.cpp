@@ -587,6 +587,31 @@ reversible_circuit corrupt_first_output( const reversible_circuit& circuit )
   return corrupted;
 }
 
+/// Corrupts a circuit behind its extracted specification with a gate that
+/// fires only when its three highest input lines all end up one: unlike
+/// `corrupt_first_output`, the candidate agrees with the spec on most
+/// assignments, so its first counterexample is not the first one checked.
+reversible_circuit corrupt_late( const reversible_circuit& circuit )
+{
+  const auto ins = input_lines_of( circuit );
+  const auto n = ins.size();
+  const control_list controls = { { ins[n - 1u], true },
+                                  { ins[n - 2u], true },
+                                  { ins[n - 3u], true } };
+  auto target = output_lines_of( circuit ).front();
+  for ( const auto line : output_lines_of( circuit ) )
+  {
+    if ( line != ins[n - 1u] && line != ins[n - 2u] && line != ins[n - 3u] )
+    {
+      target = line;
+      break;
+    }
+  }
+  auto corrupted = circuit;
+  corrupted.add_mct( controls, target );
+  return corrupted;
+}
+
 } // namespace
 
 TEST( verify_wide, exhaustive_reports_match_oracle_at_every_width )
@@ -600,12 +625,17 @@ TEST( verify_wide, exhaustive_reports_match_oracle_at_every_width )
     const auto circuit = random_circuit( rng, num_inputs + 3u, 30u, num_inputs );
     const auto spec = circuit_to_aig( circuit );
     const auto corrupted = corrupt_first_output( circuit );
+    const auto late = corrupt_late( circuit );
 
     const auto pass_oracle = scalar_exhaustive_report( circuit, spec );
     EXPECT_FALSE( pass_oracle.counterexample.has_value() ) << num_inputs;
     EXPECT_EQ( pass_oracle.assignments_completed, std::uint64_t{ 1 } << num_inputs );
     const auto fail_oracle = scalar_exhaustive_report( corrupted, spec );
     ASSERT_TRUE( fail_oracle.counterexample.has_value() ) << num_inputs;
+    const auto late_oracle = scalar_exhaustive_report( late, spec );
+    // At n = 3 the late gate changes no output of this circuit: that
+    // candidate passes, and must pass at every width too.
+    ASSERT_EQ( late_oracle.counterexample.has_value(), num_inputs > 3u ) << num_inputs;
 
     for ( const auto width : all_widths )
     {
@@ -616,54 +646,64 @@ TEST( verify_wide, exhaustive_reports_match_oracle_at_every_width )
       expect_report_equal(
           verify_against_aig_exhaustive_budgeted( corrupted, spec, deadline{}, width ),
           fail_oracle, "fail " + context );
+      expect_report_equal( verify_against_aig_exhaustive_budgeted( late, spec, deadline{}, width ),
+                           late_oracle, "late " + context );
     }
   }
 }
 
 TEST( verify_wide, first_counterexample_is_lowest_column_at_every_width )
 {
-  // Spec = AND of all 7 inputs, circuit = constant 0: the only difference
+  // Spec = AND of all n inputs, circuit = constant 0: the only difference
   // is the all-one assignment — the LAST column of the space.  Every width
   // must report exactly it (not an earlier lane of the same wide group)
-  // and count all 128 assignments as covered.
-  const unsigned n = 7;
-  aig_network aig( n );
-  std::vector<aig_lit> pis;
-  for ( unsigned i = 0; i < n; ++i )
+  // and count all 2^n assignments as covered.  At n = 10 the column is
+  // found only after several lane-group passes at every width (16 at w64,
+  // 2 at w512).
+  for ( const unsigned n : { 7u, 10u } )
   {
-    pis.push_back( aig.pi( i ) );
-  }
-  aig.add_po( aig.create_nary_and( pis ) );
+    aig_network aig( n );
+    std::vector<aig_lit> pis;
+    for ( unsigned i = 0; i < n; ++i )
+    {
+      pis.push_back( aig.pi( i ) );
+    }
+    aig.add_po( aig.create_nary_and( pis ) );
 
-  reversible_circuit circuit( n + 1u );
-  for ( unsigned l = 0; l < n; ++l )
-  {
-    circuit.line( l ).is_primary_input = true;
-  }
-  circuit.line( n ).is_constant_input = true;
-  circuit.line( n ).output_index = 0;
-  circuit.line( n ).is_garbage = false;
+    reversible_circuit circuit( n + 1u );
+    for ( unsigned l = 0; l < n; ++l )
+    {
+      circuit.line( l ).is_primary_input = true;
+    }
+    circuit.line( n ).is_constant_input = true;
+    circuit.line( n ).output_index = 0;
+    circuit.line( n ).is_garbage = false;
 
-  for ( const auto width : all_widths )
-  {
-    const auto report = verify_against_aig_exhaustive_budgeted( circuit, aig, deadline{}, width );
-    ASSERT_TRUE( report.counterexample.has_value() ) << lanes_of( width );
-    EXPECT_EQ( *report.counterexample, std::vector<bool>( n, true ) ) << lanes_of( width );
-    EXPECT_EQ( report.assignments_completed, 128u ) << lanes_of( width );
-    EXPECT_TRUE( report.complete ) << lanes_of( width );
-  }
+    for ( const auto width : all_widths )
+    {
+      const auto context =
+          "n=" + std::to_string( n ) + " width=" + std::to_string( lanes_of( width ) );
+      const auto report = verify_against_aig_exhaustive_budgeted( circuit, aig, deadline{}, width );
+      ASSERT_TRUE( report.counterexample.has_value() ) << context;
+      EXPECT_EQ( *report.counterexample, std::vector<bool>( n, true ) ) << context;
+      EXPECT_EQ( report.assignments_completed, std::uint64_t{ 1 } << n ) << context;
+      EXPECT_TRUE( report.complete ) << context;
+    }
 
-  // And the dual: a circuit wrong everywhere fails on column 0 with exactly
-  // one assignment counted, at every width.
-  auto everywhere = circuit;
-  everywhere.add_not( n ); // constant 1 vs AND: differs on all but all-one
-  for ( const auto width : all_widths )
-  {
-    const auto report =
-        verify_against_aig_exhaustive_budgeted( everywhere, aig, deadline{}, width );
-    ASSERT_TRUE( report.counterexample.has_value() ) << lanes_of( width );
-    EXPECT_EQ( *report.counterexample, std::vector<bool>( n, false ) ) << lanes_of( width );
-    EXPECT_EQ( report.assignments_completed, 1u ) << lanes_of( width );
+    // And the dual: a circuit wrong everywhere fails on column 0 with
+    // exactly one assignment counted, at every width.
+    auto everywhere = circuit;
+    everywhere.add_not( n ); // constant 1 vs AND: differs on all but all-one
+    for ( const auto width : all_widths )
+    {
+      const auto context =
+          "n=" + std::to_string( n ) + " width=" + std::to_string( lanes_of( width ) );
+      const auto report =
+          verify_against_aig_exhaustive_budgeted( everywhere, aig, deadline{}, width );
+      ASSERT_TRUE( report.counterexample.has_value() ) << context;
+      EXPECT_EQ( *report.counterexample, std::vector<bool>( n, false ) ) << context;
+      EXPECT_EQ( report.assignments_completed, 1u ) << context;
+    }
   }
 }
 
@@ -674,6 +714,7 @@ TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
   const auto circuit = random_circuit( rng, num_inputs + 3u, 35u, num_inputs );
   const auto spec = circuit_to_aig( circuit );
   const auto corrupted = corrupt_first_output( circuit );
+  const auto late = corrupt_late( circuit );
 
   for ( const unsigned num_samples : { 5u, 70u, 250u, 512u } )
   {
@@ -682,6 +723,7 @@ TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
       const auto pass_oracle = scalar_sampled_report( circuit, spec, num_samples, seed );
       const auto fail_oracle = scalar_sampled_report( corrupted, spec, num_samples, seed );
       ASSERT_TRUE( fail_oracle.counterexample.has_value() ) << num_samples;
+      const auto late_oracle = scalar_sampled_report( late, spec, num_samples, seed );
       for ( const auto width : all_widths )
       {
         const auto context = "samples=" + std::to_string( num_samples ) +
@@ -693,6 +735,9 @@ TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
         expect_report_equal( verify_against_aig_sampled_budgeted( corrupted, spec, deadline{},
                                                                   num_samples, seed, width ),
                              fail_oracle, "fail " + context );
+        expect_report_equal( verify_against_aig_sampled_budgeted( late, spec, deadline{},
+                                                                  num_samples, seed, width ),
+                             late_oracle, "late " + context );
       }
     }
   }
@@ -723,52 +768,6 @@ TEST( verify_wide, sampled_accounting_is_exact_for_non_lane_aligned_requests )
       EXPECT_TRUE( report.complete ) << context;
       EXPECT_EQ( report.assignments_requested, total ) << context;
       EXPECT_EQ( report.assignments_completed, total ) << context;
-    }
-  }
-}
-
-TEST( verify_wide, batch_reports_are_identical_to_individual_calls )
-{
-  std::mt19937_64 rng( 251 );
-  const unsigned num_inputs = 8;
-  const auto circuit = random_circuit( rng, num_inputs + 2u, 30u, num_inputs );
-  const auto spec = circuit_to_aig( circuit );
-  const auto bad_first = corrupt_first_output( circuit );
-  auto bad_later = circuit;
-  // Controlled corruption: fires only when inputs 0..2 are all one, so this
-  // candidate survives several wide passes before failing.
-  bad_later.add_mct( { { 0, true }, { 1, true }, { 2, true } },
-                     output_lines_of( circuit ).front() );
-
-  const std::vector<const reversible_circuit*> frontier = { &circuit, &bad_first, &circuit,
-                                                            &bad_later };
-  for ( const auto width : all_widths )
-  {
-    const auto batch =
-        verify_batch_against_aig_exhaustive_budgeted( frontier, spec, deadline{}, width );
-    ASSERT_EQ( batch.size(), frontier.size() );
-    for ( std::size_t c = 0; c < frontier.size(); ++c )
-    {
-      const auto individual =
-          verify_against_aig_exhaustive_budgeted( *frontier[c], spec, deadline{}, width );
-      expect_report_equal( batch[c], individual,
-                           "exhaustive candidate " + std::to_string( c ) + " width " +
-                               std::to_string( lanes_of( width ) ) );
-    }
-    EXPECT_FALSE( batch[0].counterexample.has_value() );
-    EXPECT_TRUE( batch[1].counterexample.has_value() );
-    EXPECT_TRUE( batch[3].counterexample.has_value() );
-
-    const auto sampled_batch =
-        verify_batch_against_aig_sampled_budgeted( frontier, spec, deadline{}, 100u, 7u, width );
-    ASSERT_EQ( sampled_batch.size(), frontier.size() );
-    for ( std::size_t c = 0; c < frontier.size(); ++c )
-    {
-      const auto individual = verify_against_aig_sampled_budgeted( *frontier[c], spec, deadline{},
-                                                                   100u, 7u, width );
-      expect_report_equal( sampled_batch[c], individual,
-                           "sampled candidate " + std::to_string( c ) + " width " +
-                               std::to_string( lanes_of( width ) ) );
     }
   }
 }
