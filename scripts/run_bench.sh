@@ -643,7 +643,7 @@ ASAN_DIR="$REPO_ROOT/build-asan-verify"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address \
   -DQSYN_SIMD=native
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
-  --target test_verify test_store test_truth_table test_lut_xmg test_reversible
+  --target test_verify test_store test_truth_table test_lut_xmg test_reversible test_daemon
 "$ASAN_DIR/tests/test_verify"
 # The artifact store is raw byte-level (de)serialization of attacker-ish
 # input (any on-disk file): run its suite instrumented too.
@@ -654,9 +654,12 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" \
 "$ASAN_DIR/tests/test_truth_table"
 "$ASAN_DIR/tests/test_lut_xmg"
 "$ASAN_DIR/tests/test_reversible"
+# qsynd's request parser and request path (admission bounds, outcome
+# cells shared across connection threads) take raw client input.
+"$ASAN_DIR/tests/test_daemon"
 echo
-echo "test_verify + test_store + test_truth_table + test_lut_xmg + test_reversible OK" \
-     "under AddressSanitizer"
+echo "test_verify + test_store + test_truth_table + test_lut_xmg + test_reversible" \
+     "+ test_daemon OK under AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
 # The budget/cancellation/fault-injection paths are counter arithmetic,

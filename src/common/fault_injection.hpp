@@ -18,7 +18,7 @@
 ///   flow.collapse   — truth-table collapse stage (functional flow)
 ///   flow.esop       — ESOP extraction/minimization stage
 ///   flow.xmg        — XMG mapping stage (hierarchical flow)
-///   cache.hit       — artifact-cache hit, every kind (trip = treat as miss)
+///   cache.hit       — artifact-cache hit, every stage kind (trip = treat as miss)
 ///   verify.sat      — SAT verify tier (trip = budget exhausted)
 ///   dse.elaborate   — per-design elaboration in explore_designs
 ///   daemon.elaborate — cold-design elaboration in qsynd (context_for)

@@ -43,7 +43,7 @@ struct explore_options
   unsigned num_threads = 0;
   /// Largest bitwidth at which batch exploration includes the functional
   /// flow (explicit synthesis range; `explore_designs` only).
-  unsigned functional_max_bitwidth = 9;
+  unsigned functional_max_bitwidth = functional_flow_max_bitwidth;
   /// Verification tier applied to every swept configuration
   /// (`explore_designs` only; `explore` takes fully-specified configs).
   /// `verify_mode::none` disables verification for the whole sweep.

@@ -1,6 +1,7 @@
 #include "flows.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "../common/fault_injection.hpp"
 #include "../common/timer.hpp"
@@ -130,6 +131,9 @@ constexpr std::optional<store::payload_kind> disk_kind<flow_artifact_cache::esop
 template <>
 constexpr std::optional<store::payload_kind> disk_kind<flow_artifact_cache::xmg_artifact> =
     store::payload_kind::xmg;
+template <>
+constexpr std::optional<store::payload_kind> disk_kind<flow_artifact_cache::outcome_artifact> =
+    store::payload_kind::flow_outcome;
 
 void write_payload( store::byte_writer& w, const aig_network& aig )
 {
@@ -174,6 +178,77 @@ void read_payload( store::byte_reader& r, flow_artifact_cache::xmg_artifact& art
   art.stats.isop_forms = r.u64();
 }
 
+/// Outcome payload: the flow result, then the budget it was produced
+/// under.  Entries written before outcomes carried a budget are shorter;
+/// they fail the reader's bounds checks and count as a miss.
+void write_payload( store::byte_writer& w, const flow_artifact_cache::outcome_artifact& art )
+{
+  const auto& result = art.result;
+  w.u8( static_cast<std::uint8_t>( result.status ) );
+  w.u8( result.verified ? 1u : 0u );
+  w.u8( static_cast<std::uint8_t>( result.verified_with ) );
+  w.u8( result.verify_downgraded ? 1u : 0u );
+  w.f64( result.runtime_seconds );
+  w.f64( result.verify_seconds );
+  w.u32( result.costs.qubits );
+  w.u64( result.costs.t_count );
+  w.u64( result.costs.gates );
+  w.u64( result.costs.toffoli_gates );
+  w.u64( result.costs.depth );
+  w.u64( result.esop_terms );
+  w.u64( result.xmg_maj );
+  w.u64( result.xmg_xor );
+  w.u32( result.embedding_lines );
+  w.u64( result.max_collisions );
+  w.u64( result.aig_nodes_initial );
+  w.u64( result.aig_nodes_optimized );
+  w.str( result.status_detail );
+  store::write_circuit( w, result.circuit );
+  w.f64( art.produced_with.deadline_seconds );
+  w.u64( art.produced_with.sat_conflict_budget );
+  w.u64( art.produced_with.sat_propagation_budget );
+  w.u64( art.produced_with.exorcism_pair_budget );
+}
+
+void read_payload( store::byte_reader& r, flow_artifact_cache::outcome_artifact& art )
+{
+  auto& result = art.result;
+  const auto status = r.u8();
+  if ( status > static_cast<std::uint8_t>( flow_status::failed ) )
+  {
+    throw store::deserialize_error( "outcome: unknown status" );
+  }
+  result.status = static_cast<flow_status>( status );
+  result.verified = r.u8() != 0u;
+  const auto tier = r.u8();
+  if ( tier > static_cast<std::uint8_t>( verify_mode::sat ) )
+  {
+    throw store::deserialize_error( "outcome: unknown verify tier" );
+  }
+  result.verified_with = static_cast<verify_mode>( tier );
+  result.verify_downgraded = r.u8() != 0u;
+  result.runtime_seconds = r.f64();
+  result.verify_seconds = r.f64();
+  result.costs.qubits = r.u32();
+  result.costs.t_count = r.u64();
+  result.costs.gates = r.u64();
+  result.costs.toffoli_gates = r.u64();
+  result.costs.depth = r.u64();
+  result.esop_terms = r.u64();
+  result.xmg_maj = r.u64();
+  result.xmg_xor = r.u64();
+  result.embedding_lines = r.u32();
+  result.max_collisions = r.u64();
+  result.aig_nodes_initial = r.u64();
+  result.aig_nodes_optimized = r.u64();
+  result.status_detail = r.str();
+  result.circuit = store::read_circuit( r );
+  art.produced_with.deadline_seconds = r.f64();
+  art.produced_with.sat_conflict_budget = r.u64();
+  art.produced_with.sat_propagation_budget = r.u64();
+  art.produced_with.exorcism_pair_budget = r.u64();
+}
+
 /// Refresh hook of the kinds that never replace a published artifact.
 constexpr auto keep_published = []( const auto& ) { return nullptr; };
 
@@ -184,23 +259,19 @@ constexpr auto keep_published = []( const auto& ) { return nullptr; };
 flow_artifact_cache::flow_artifact_cache() = default;
 flow_artifact_cache::~flow_artifact_cache() = default;
 
-void flow_artifact_cache::check_same_design( const aig_network& aig, std::uint64_t hash )
+void flow_artifact_cache::check_same_design( std::uint64_t hash )
 {
   if ( !bound_ )
   {
     bound_ = true;
-    bound_pis_ = aig.num_pis();
-    bound_pos_ = aig.num_pos();
-    bound_ands_ = aig.num_ands();
     bound_hash_ = hash;
     return;
   }
-  // Cheap size pre-check first; the structural hash then catches
+  // The structural hash (which covers the PI, node and PO counts) catches
   // equal-sized but functionally distinct designs, which a size-only
   // fingerprint silently aliased (serving one design's artifacts for the
   // other).
-  if ( aig.num_pis() != bound_pis_ || aig.num_pos() != bound_pos_ ||
-       aig.num_ands() != bound_ands_ || hash != bound_hash_ )
+  if ( hash != bound_hash_ )
   {
     throw std::invalid_argument(
         "flow_artifact_cache: cache is bound to one design AIG (structural content hash "
@@ -221,27 +292,28 @@ std::uint64_t flow_artifact_cache::design_hash() const
 }
 
 template <class Artifact, class Compute, class Refresh>
-const Artifact& flow_artifact_cache::lookup( std::map<std::string, cell<Artifact>>& cells,
-                                             const aig_network& aig, const std::string& key,
-                                             Compute&& compute, Refresh&& refresh )
+flow_artifact_cache::answer<Artifact>
+flow_artifact_cache::lookup( std::map<std::string, cell<Artifact>>& cells, std::uint64_t hash,
+                             const std::string& key, Compute&& compute, Refresh&& refresh )
 {
-  const auto hash = aig.content_hash(); // O(design): outside the cache mutex
+  constexpr bool stage_kind = !std::is_same_v<Artifact, outcome_artifact>;
   cell<Artifact>* slot = nullptr;
   std::shared_ptr<store::artifact_store> disk;
+  answer<Artifact> out;
   {
     std::lock_guard<std::mutex> lock( mutex_ );
-    check_same_design( aig, hash );
+    check_same_design( hash );
     slot = &cells[key];
     disk = store_;
+    out.tier = slot->published ? cache_tier::memory : cache_tier::waited;
   }
 
   // From here on only this key's cell is held: a concurrent caller of the
-  // same key waits for the computation below, then counts a hit.
+  // same key waits for the computation below, then is answered `waited`.
   std::lock_guard<std::mutex> cell_lock( slot->mutex );
-  auto counter = &cache_stats::hits;
   if ( !slot->value )
   {
-    counter = &cache_stats::store_hits;
+    out.tier = cache_tier::store;
     if constexpr ( disk_kind<Artifact>.has_value() )
     {
       const auto payload = disk ? disk->load( { hash, *disk_kind<Artifact>, key } ) : std::nullopt;
@@ -262,34 +334,49 @@ const Artifact& flow_artifact_cache::lookup( std::map<std::string, cell<Artifact
       }
     }
   }
-  else if ( fault_injection::poll( "cache.hit" ) )
+  else if ( stage_kind && fault_injection::poll( "cache.hit" ) )
   {
     // An injected "cache.hit" trip forces this hit to behave like a miss:
     // the stage recomputes (and the recomputation is discarded — the
     // published artifact is never replaced under readers) and the miss is
     // counted.
     (void)compute();
-    counter = &cache_stats::misses;
+    out.tier = cache_tier::computed;
   }
-  std::shared_ptr<const Artifact> superseded;
-  bool write_back = false;
+  // This caller's own computation: a miss, or a replacement `refresh`
+  // made for the published value.
+  std::shared_ptr<const Artifact> fresh;
   if ( !slot->value )
   {
     // A throwing computation publishes nothing: the next caller retries.
-    slot->value = std::make_shared<const Artifact>( compute() );
-    counter = &cache_stats::misses;
-    write_back = true;
+    fresh = std::make_shared<const Artifact>( compute() );
+    out.tier = cache_tier::computed;
   }
-  else if ( auto replacement = refresh( *slot->value ) )
+  else
   {
-    // The superseded object is retired, not destroyed, so references
-    // handed out earlier stay valid.
-    superseded = std::exchange( slot->value, std::move( replacement ) );
-    write_back = true;
+    fresh = refresh( *slot->value );
+    out.refreshed = fresh != nullptr;
   }
+  // Of the outcomes only completed ones are published: a timed-out or
+  // failed attempt must not pin its failure for later requesters.
+  bool publish = fresh != nullptr;
+  if constexpr ( !stage_kind )
+  {
+    publish = publish && ( fresh->result.status == flow_status::ok ||
+                           fresh->result.status == flow_status::degraded );
+  }
+  // The superseded object is retired, not destroyed, so references handed
+  // out earlier stay valid.
+  auto superseded = publish ? std::exchange( slot->value, fresh ) : nullptr;
   {
     std::lock_guard<std::mutex> lock( mutex_ );
-    ++( stats_.*counter );
+    slot->published = slot->value != nullptr;
+    if constexpr ( stage_kind )
+    {
+      ++( out.tier == cache_tier::computed ? stats_.misses
+          : out.tier == cache_tier::store  ? stats_.store_hits
+                                           : stats_.hits );
+    }
     if ( superseded )
     {
       retired_.push_back( std::move( superseded ) );
@@ -297,32 +384,33 @@ const Artifact& flow_artifact_cache::lookup( std::map<std::string, cell<Artifact
   }
   if constexpr ( disk_kind<Artifact>.has_value() )
   {
-    if ( disk && write_back )
+    if ( disk && publish )
     {
       store::byte_writer w;
-      write_payload( w, *slot->value );
+      write_payload( w, *fresh );
       disk->save( { hash, *disk_kind<Artifact>, key }, w.take() );
     }
   }
-  return *slot->value;
+  out.value = fresh ? std::move( fresh ) : slot->value;
+  return out;
 }
 
 const aig_network& flow_artifact_cache::optimized( const aig_network& aig, unsigned rounds )
 {
-  return lookup(
-      optimized_, aig, optimize_artifact_key( rounds ),
+  return *lookup(
+      optimized_, aig.content_hash(), optimize_artifact_key( rounds ),
       [&] {
         fault_injection::poll( "flow.optimize" );
         return optimize( aig, rounds );
       },
-      keep_published );
+      keep_published ).value;
 }
 
 const flow_artifact_cache::functional_artifact&
 flow_artifact_cache::functional_intermediate( const aig_network& aig, unsigned rounds )
 {
-  return lookup(
-      functional_, aig,
+  return *lookup(
+      functional_, aig.content_hash(),
       flow_artifact_key( { .kind = flow_kind::functional, .optimization_rounds = rounds } ),
       [&] {
         const auto& opt = optimized( aig, rounds );
@@ -332,7 +420,7 @@ flow_artifact_cache::functional_intermediate( const aig_network& aig, unsigned r
         art.embed = embed_optimum( art.outputs );
         return art;
       },
-      keep_published );
+      keep_published ).value;
 }
 
 const flow_artifact_cache::esop_artifact&
@@ -344,8 +432,8 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
   // a cached artifact whose minimization stopped at an earlier caller's
   // budget instead of reusing the half-minimized cube list as-is.
   const bool requester_has_budget = run_exorcism && !minimize_limits.stop.expired();
-  return lookup(
-      esops_, aig,
+  return *lookup(
+      esops_, aig.content_hash(),
       flow_artifact_key( { .kind = flow_kind::esop_based,
                            .optimization_rounds = rounds,
                            .run_exorcism = run_exorcism } ),
@@ -371,15 +459,15 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
             exorcism( upgraded->expression, minimize_limits ).budget_exhausted;
         upgraded->terms = upgraded->expression.num_terms();
         return upgraded;
-      } );
+      } ).value;
 }
 
 const flow_artifact_cache::xmg_artifact&
 flow_artifact_cache::xmg_intermediate( const aig_network& aig, unsigned rounds,
                                        unsigned cut_size )
 {
-  return lookup(
-      xmgs_, aig,
+  return *lookup(
+      xmgs_, aig.content_hash(),
       flow_artifact_key( { .kind = flow_kind::hierarchical,
                            .optimization_rounds = rounds,
                            .cut_size = cut_size } ),
@@ -390,7 +478,24 @@ flow_artifact_cache::xmg_intermediate( const aig_network& aig, unsigned rounds,
         art.graph = xmg_from_aig( opt, cut_size, &art.stats );
         return art;
       },
-      keep_published );
+      keep_published ).value;
+}
+
+flow_artifact_cache::answer<flow_artifact_cache::outcome_artifact>
+flow_artifact_cache::outcome( std::uint64_t design_hash, const flow_params& params,
+                              const std::function<flow_result()>& compute )
+{
+  const auto run = [&] { return outcome_artifact{ compute(), params.limits }; };
+  return lookup( outcomes_, design_hash, outcome_key( params ), run,
+                 [&]( const outcome_artifact& cached ) -> std::shared_ptr<const outcome_artifact> {
+                   // Recomputing can only improve an imperfect outcome, and
+                   // only for a requester that brings strictly more budget.
+                   const bool imperfect = cached.result.status == flow_status::degraded ||
+                                          cached.result.verify_downgraded;
+                   return imperfect && params.limits.more_generous_than( cached.produced_with )
+                              ? std::make_shared<const outcome_artifact>( run() )
+                              : nullptr;
+                 } );
 }
 
 sat::incremental_cec& flow_artifact_cache::sat_engine()
@@ -429,6 +534,26 @@ std::string flow_artifact_key( const flow_params& params )
     return "xmg[r=" + r + ",k=" + std::to_string( params.cut_size ) + "]";
   }
   return "unknown";
+}
+
+std::string outcome_key( const flow_params& params )
+{
+  std::string key = "flow[" + flow_artifact_key( params );
+  switch ( params.kind )
+  {
+  case flow_kind::functional:
+    key += ",bidir=" + std::string( params.bidirectional_tbs ? "1" : "0" );
+    break;
+  case flow_kind::esop_based:
+    key += ",p=" + std::to_string( params.esop_p );
+    break;
+  case flow_kind::hierarchical:
+    key += ",cleanup=" + std::to_string( static_cast<unsigned>( params.cleanup ) );
+    break;
+  }
+  key += ",verify=" + verify_mode_name( params.verify ? params.verification : verify_mode::none );
+  key += "]";
+  return key;
 }
 
 flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
@@ -479,10 +604,10 @@ flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
 
   // Unique (unkeyed) per-configuration tail: every stage lookup inside
   // run_flow_staged hits the cache the artifact tasks just filled, so the
-  // tail is pure synthesis + verification.  The pre-start deadline check
-  // keeps the tail-only engine's timed_out contract.  `stop` is read when
-  // the task runs (not copied at build time), so batch drivers can arm the
-  // per-configuration clock lazily from an upstream task.
+  // tail is pure synthesis + verification; one whose deadline expired
+  // before it started reports `timed_out` without running.  `stop` is read
+  // when the task runs (not copied at build time), so batch drivers can arm
+  // the per-configuration clock lazily from an upstream task.
   ids.tail = graph.add(
       key_prefix + "tail:" + dse_label( params ) + "#" + std::to_string( graph.size() ),
       [&aig, &cache, &out, params, stop_ptr = &stop] {
@@ -496,51 +621,6 @@ flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
   return ids;
 }
 
-namespace
-{
-
-std::string graph_error_what( const std::exception_ptr& error )
-{
-  if ( !error )
-  {
-    return "unknown error";
-  }
-  try
-  {
-    std::rethrow_exception( error );
-  }
-  catch ( const std::exception& e )
-  {
-    return e.what();
-  }
-  catch ( ... )
-  {
-    return "unknown error";
-  }
-}
-
-bool graph_error_is_budget( const std::exception_ptr& error )
-{
-  if ( !error )
-  {
-    return false;
-  }
-  try
-  {
-    std::rethrow_exception( error );
-  }
-  catch ( const budget_exhausted& )
-  {
-    return true;
-  }
-  catch ( ... )
-  {
-    return false;
-  }
-}
-
-} // namespace
-
 void fill_flow_status_from_graph( const task_graph& graph, task_id tail, flow_result& out )
 {
   const auto state = graph.state( tail );
@@ -548,17 +628,31 @@ void fill_flow_status_from_graph( const task_graph& graph, task_id tail, flow_re
   {
     return;
   }
-  const auto error = graph.error( tail );
-  out.status = graph_error_is_budget( error ) ? flow_status::timed_out : flow_status::failed;
+  // A budget expiry times the tail out; any other error fails it.
+  out.status = flow_status::failed;
+  std::string what = "unknown error";
+  try
+  {
+    if ( const auto error = graph.error( tail ) )
+    {
+      std::rethrow_exception( error );
+    }
+  }
+  catch ( const budget_exhausted& e )
+  {
+    out.status = flow_status::timed_out;
+    what = e.what();
+  }
+  catch ( const std::exception& e )
+  {
+    what = e.what();
+  }
+  catch ( ... )
+  {
+  }
   const auto& blame = graph.blame( tail );
-  if ( state == task_state::poisoned && blame != graph.key( tail ) )
-  {
-    out.status_detail = "stage '" + blame + "' failed: " + graph_error_what( error );
-  }
-  else
-  {
-    out.status_detail = graph_error_what( error );
-  }
+  const bool upstream = state == task_state::poisoned && blame != graph.key( tail );
+  out.status_detail = upstream ? "stage '" + blame + "' failed: " + what : what;
 }
 
 // --- staged flow driver ------------------------------------------------------

@@ -44,6 +44,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -87,6 +88,10 @@ enum class flow_kind
   esop_based,   ///< Sec. IV-B: ESOP + exorcism + REVS-style synthesis
   hierarchical  ///< Sec. IV-C: LUT map + XMG + hierarchical synthesis
 };
+
+/// Largest bitwidth the DSE sweep and `qsynd` run the functional flow at:
+/// it collapses the design to 2^n-entry truth tables (exponential cost).
+constexpr unsigned functional_flow_max_bitwidth = 9;
 
 /// Verification tier applied to the synthesized circuit (our `cec` ladder).
 enum class verify_mode
@@ -199,7 +204,19 @@ struct cache_stats
   std::size_t store_hits = 0;
 };
 
-/// Memoizes the stage artifacts of the flows for ONE design AIG.  The
+/// Which tier answered one `flow_artifact_cache` lookup.  `waited`: the
+/// value was published while the caller waited on the key's cell (a value
+/// published before the caller arrived is a `memory` hit).
+enum class cache_tier
+{
+  memory,
+  store,
+  waited,
+  computed
+};
+
+/// Memoizes the stage artifacts and the synthesize outcomes of the flows
+/// for ONE design AIG.  The
 /// cache binds to the first design it sees via a structural content hash
 /// (`aig_network::content_hash()`) and rejects any other design with
 /// std::invalid_argument — including equal-sized distinct designs, which
@@ -219,9 +236,14 @@ struct cache_stats
 /// and count a hit) while other keys, `stats()`, `sat_engine()`,
 /// `design_hash()` and `attach_store` never wait on it.  A computation
 /// that throws publishes nothing; the next caller recomputes.  References
-/// returned remain valid for the cache's lifetime (an ESOP artifact
-/// replaced by a budget upgrade retires — but keeps alive — the old
-/// object).
+/// returned remain valid for the cache's lifetime: an ESOP artifact or an
+/// outcome replaced by a budget upgrade is retired, not destroyed.  Each
+/// retirement costs one re-minimization or one synthesis, so the retired
+/// objects are bounded by the number of upgrades.
+///
+/// Lock order: outcome cell → stage cell → optimize cell → cache mutex.
+/// An outcome's computation runs a task graph whose pool tasks take stage
+/// cells; no pool task ever takes an outcome cell.
 class flow_artifact_cache
 {
 public:
@@ -278,6 +300,34 @@ public:
   const xmg_artifact& xmg_intermediate( const aig_network& aig, unsigned rounds,
                                         unsigned cut_size );
 
+  /// A synthesize outcome plus the budget it was produced under.
+  struct outcome_artifact
+  {
+    flow_result result;
+    budget produced_with;
+  };
+
+  /// The value one lookup answered with, and how; `refreshed` means this
+  /// caller replaced a published value (a budget upgrade).
+  template <class Artifact>
+  struct answer
+  {
+    std::shared_ptr<const Artifact> value;
+    cache_tier tier = cache_tier::memory;
+    bool refreshed = false;
+  };
+
+  /// The synthesize outcome of `params` (`qsynd`'s result cache) on the
+  /// design whose `content_hash()` is `design_hash` (the caller hashes the
+  /// design once, so a hit costs no pass over it), keyed on
+  /// `outcome_key(params)`.  `compute` runs on a miss, and to upgrade an
+  /// imperfect (degraded or verify-downgraded) outcome for strictly more
+  /// generous `params.limits`.  Only `ok`/`degraded` outcomes are
+  /// published; a `timed_out`/`failed` one reaches only its computing
+  /// caller.  Not counted in `stats()`; does not poll `cache.hit`.
+  answer<outcome_artifact> outcome( std::uint64_t design_hash, const flow_params& params,
+                                    const std::function<flow_result()>& compute );
+
   /// The cache's persistent incremental SAT equivalence engine
   /// (`sat::incremental_cec`), created on first use.  Every `sat`-tier
   /// verification of a `run_flow_staged` call on this cache goes through it,
@@ -303,35 +353,34 @@ public:
 private:
   /// One key's publish-once slot: `mutex` is held while the artifact is
   /// computed or upgraded and while `value` (null until then) is read.
-  /// Lock order: cell → upstream optimize cell → `mutex_`.
+  /// `published` mirrors `value` under the cache mutex (hit vs wait).
   template <class Artifact>
   struct cell
   {
     std::mutex mutex;
     std::shared_ptr<const Artifact> value;
+    bool published = false;
   };
 
   /// The one lookup of every kind (memory → store → compute → publish →
-  /// save); `refresh` may replace a published artifact (ESOP upgrade).
+  /// save); `refresh` may replace a published value (budget upgrade).
   template <class Artifact, class Compute, class Refresh>
-  const Artifact& lookup( std::map<std::string, cell<Artifact>>& cells, const aig_network& aig,
-                          const std::string& key, Compute&& compute, Refresh&& refresh );
-  void check_same_design( const aig_network& aig, std::uint64_t hash );
+  answer<Artifact> lookup( std::map<std::string, cell<Artifact>>& cells, std::uint64_t hash,
+                           const std::string& key, Compute&& compute, Refresh&& refresh );
+  void check_same_design( std::uint64_t hash );
 
-  /// Guards only cell find-or-insert, the binding, stats_ and retired_.
+  /// Guards only cell find-or-insert, `published`, the binding, stats_ and retired_.
   mutable std::mutex mutex_;
   std::map<std::string, cell<aig_network>> optimized_; ///< cells are never erased
   std::map<std::string, cell<functional_artifact>> functional_;
   std::map<std::string, cell<esop_artifact>> esops_;
   std::map<std::string, cell<xmg_artifact>> xmgs_;
+  std::map<std::string, cell<outcome_artifact>> outcomes_;
   std::vector<std::shared_ptr<const void>> retired_; ///< superseded, kept alive
   std::unique_ptr<sat::incremental_cec> sat_engine_; ///< lazily created
   std::shared_ptr<store::artifact_store> store_; ///< optional disk tier
   cache_stats stats_;
   bool bound_ = false;           ///< cache is bound to the first design seen
-  unsigned bound_pis_ = 0;       ///< cheap pre-check before the hash compare
-  unsigned bound_pos_ = 0;
-  std::size_t bound_ands_ = 0;
   std::uint64_t bound_hash_ = 0; ///< content hash of the bound design
 };
 
@@ -342,6 +391,11 @@ std::string optimize_artifact_key( unsigned rounds );
 /// parameter subset `flow_artifact_cache` keys the stage on:
 /// "collapse[r=2]", "esop[r=2,exo=1]", or "xmg[r=2,k=4]".
 std::string flow_artifact_key( const flow_params& params );
+
+/// Cache key of a whole synthesize outcome: the flow's full parameter
+/// identity plus the verify tier (a cached verdict must match the tier
+/// that was asked for), e.g. "flow[esop[r=2,exo=1],p=1,verify=sampled]".
+std::string outcome_key( const flow_params& params );
 
 /// Task ids of one staged flow added to a graph by `add_flow_tasks`.
 struct flow_task_ids

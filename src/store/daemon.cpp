@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,7 +20,7 @@
 #include "../core/task_graph.hpp"
 #include "../synth/lut_map.hpp"
 #include "../verilog/elaborator.hpp"
-#include "serialize.hpp"
+#include "../verilog/generators.hpp"
 
 namespace qsyn::store
 {
@@ -185,11 +184,6 @@ std::string parse_json_string( const std::string& s, std::size_t& i )
     }
   }
 }
-
-} // namespace
-
-namespace
-{
 
 /// Only trailing whitespace may follow the object's closing '}' — a
 /// request like `{"cmd":"ping"} {"cmd":"shutdown"}` is one malformed line,
@@ -423,115 +417,56 @@ flow_params params_from_fields( const std::map<std::string, std::string>& fields
   return params;
 }
 
-/// Canonical result-cache key of a synthesize query: the flow's full
-/// parameter identity plus the verify tier (a cached verdict must match
-/// the tier that was asked for).
-std::string outcome_key( const flow_params& params )
+/// A request refused with a machine-readable `"code"`: "busy" (admission
+/// cap; counted in `rejected`) or "too_large" (counted in `errors`).
+struct refused : std::runtime_error
 {
-  std::string key = "flow[" + flow_artifact_key( params );
-  switch ( params.kind )
+  refused( const std::string& what, std::string code )
+      : std::runtime_error( what ), code( std::move( code ) )
   {
-  case flow_kind::functional:
-    key += ",bidir=" + std::string( params.bidirectional_tbs ? "1" : "0" );
-    break;
-  case flow_kind::esop_based:
-    key += ",p=" + std::to_string( params.esop_p );
-    break;
-  case flow_kind::hierarchical:
-    key += ",cleanup=" + std::to_string( static_cast<unsigned>( params.cleanup ) );
-    break;
   }
-  key += ",verify=" + verify_mode_name( params.verify ? params.verification : verify_mode::none );
-  key += "]";
-  return key;
-}
+  std::string code;
+};
 
-/// Serializes a flow outcome together with the budget it was produced
-/// under (`produced_with`), so a later daemon can tell whether a cached
-/// `degraded` verdict deserves a recompute for a better-funded requester.
-/// The budget fields are appended after the circuit: entries written by
-/// the budget-blind format are shorter, fail `decode_outcome`'s bounds
-/// checks with `deserialize_error`, and gracefully count as a miss.
-std::vector<std::uint8_t> encode_outcome( const flow_result& result, const budget& produced_with )
+/// Gives one admission slot back when the computation holding it ends.
+struct release_slot
 {
-  byte_writer w;
-  w.u8( static_cast<std::uint8_t>( result.status ) );
-  w.u8( result.verified ? 1u : 0u );
-  w.u8( static_cast<std::uint8_t>( result.verified_with ) );
-  w.u8( result.verify_downgraded ? 1u : 0u );
-  w.f64( result.runtime_seconds );
-  w.f64( result.verify_seconds );
-  w.u32( result.costs.qubits );
-  w.u64( result.costs.t_count );
-  w.u64( result.costs.gates );
-  w.u64( result.costs.toffoli_gates );
-  w.u64( result.costs.depth );
-  w.u64( result.esop_terms );
-  w.u64( result.xmg_maj );
-  w.u64( result.xmg_xor );
-  w.u32( result.embedding_lines );
-  w.u64( result.max_collisions );
-  w.u64( result.aig_nodes_initial );
-  w.u64( result.aig_nodes_optimized );
-  w.str( result.status_detail );
-  write_circuit( w, result.circuit );
-  w.f64( produced_with.deadline_seconds );
-  w.u64( produced_with.sat_conflict_budget );
-  w.u64( produced_with.sat_propagation_budget );
-  w.u64( produced_with.exorcism_pair_budget );
-  return w.take();
-}
+  void operator()( std::atomic<std::size_t>* count ) const { count->fetch_sub( 1 ); }
+};
 
-flow_result decode_outcome( const std::vector<std::uint8_t>& payload, budget& produced_with )
+/// The design of a synthesize request, bounded before any design state is
+/// allocated: the bitwidth must lie in the generator's range, and the
+/// functional flow stops at `functional_flow_max_bitwidth`.
+reciprocal_design bounded_design( const std::map<std::string, std::string>& fields,
+                                  const flow_params& params, unsigned bitwidth )
 {
-  byte_reader r( payload );
-  flow_result result;
-  const auto status = r.u8();
-  if ( status > static_cast<std::uint8_t>( flow_status::failed ) )
+  const auto design = field_or( fields, "design", "" );
+  if ( design != "intdiv" && design != "newton" )
   {
-    throw deserialize_error( "outcome: unknown status" );
+    throw std::runtime_error( design.empty() ? "synthesize needs a 'design' field"
+                                             : "unknown design '" + design + "' (intdiv|newton)" );
   }
-  result.status = static_cast<flow_status>( status );
-  result.verified = r.u8() != 0u;
-  const auto tier = r.u8();
-  if ( tier > static_cast<std::uint8_t>( verify_mode::sat ) )
+  const auto kind = design == "intdiv" ? reciprocal_design::intdiv : reciprocal_design::newton;
+  const auto min = kind == reciprocal_design::intdiv ? verilog::intdiv_min_bitwidth
+                                                     : verilog::newton_min_bitwidth;
+  const auto range_error = "bitwidth must be in [" + std::to_string( min ) + ", " +
+                           std::to_string( verilog::max_bitwidth ) + "] for " + design +
+                           ", got " + std::to_string( bitwidth );
+  if ( bitwidth < min )
   {
-    throw deserialize_error( "outcome: unknown verify tier" );
+    throw std::runtime_error( range_error );
   }
-  result.verified_with = static_cast<verify_mode>( tier );
-  result.verify_downgraded = r.u8() != 0u;
-  result.runtime_seconds = r.f64();
-  result.verify_seconds = r.f64();
-  result.costs.qubits = r.u32();
-  result.costs.t_count = r.u64();
-  result.costs.gates = r.u64();
-  result.costs.toffoli_gates = r.u64();
-  result.costs.depth = r.u64();
-  result.esop_terms = r.u64();
-  result.xmg_maj = r.u64();
-  result.xmg_xor = r.u64();
-  result.embedding_lines = r.u32();
-  result.max_collisions = r.u64();
-  result.aig_nodes_initial = r.u64();
-  result.aig_nodes_optimized = r.u64();
-  result.status_detail = r.str();
-  result.circuit = read_circuit( r );
-  produced_with.deadline_seconds = r.f64();
-  produced_with.sat_conflict_budget = r.u64();
-  produced_with.sat_propagation_budget = r.u64();
-  produced_with.exorcism_pair_budget = r.u64();
-  r.expect_end();
-  return result;
-}
-
-/// A cached outcome is served as-is unless it is imperfect (degraded or
-/// verify-downgraded) AND the requester brings strictly more budget than
-/// the producer had — only then can recomputing possibly improve it.
-bool upgrade_worthwhile( const flow_result& cached, const budget& produced_with,
-                         const budget& requested )
-{
-  const bool imperfect = cached.status == flow_status::degraded || cached.verify_downgraded;
-  return imperfect && requested.more_generous_than( produced_with );
+  if ( bitwidth > verilog::max_bitwidth )
+  {
+    throw refused( range_error, "too_large" );
+  }
+  if ( params.kind == flow_kind::functional && bitwidth > functional_flow_max_bitwidth )
+  {
+    throw refused( "the functional flow is limited to " +
+                       std::to_string( functional_flow_max_bitwidth ) + " bits",
+                   "too_large" );
+  }
+  return kind;
 }
 
 std::string synthesize_response( const flow_params& params, const flow_result& result,
@@ -583,41 +518,17 @@ std::string error_response( const std::string& message, const std::string& code 
 // --- daemon core -------------------------------------------------------------
 
 /// Everything the daemon keeps alive for one (design, bitwidth): the
-/// elaborated AIG, its content hash, the stage-artifact cache (which owns
-/// the persistent SAT engine and is attached to the shared store), the
-/// in-memory result cache (each entry remembering the budget it was
-/// produced under), and the in-flight table duplicate requests coalesce
-/// on.
+/// elaborated AIG, its content hash (the outcome cells' design key, hashed
+/// once) and its `flow_artifact_cache`, which holds the stage artifacts,
+/// the synthesize outcomes and the persistent SAT engine, and is attached
+/// to the shared store.
 struct synthesis_daemon::design_context
 {
-  /// A memoized flow outcome plus the budget that produced it — the
-  /// budget decides whether a later, better-funded requester triggers a
-  /// recompute (see `upgrade_worthwhile`).
-  struct cached_outcome
-  {
-    flow_result result;
-    budget produced_with;
-  };
-
-  /// One in-flight synthesis: the owner publishes `result`/`error`, sets
-  /// `done`, and wakes every coalesced waiter through `results_cv`.
-  struct inflight_request
-  {
-    bool done = false;
-    flow_result result;
-    budget produced_with;
-    std::exception_ptr error;
-  };
-
   std::mutex elaborate_mutex;            ///< held by the one request elaborating
   std::atomic<bool> elaborated{ false }; ///< `aig` and `design_hash` are set
   aig_network aig{ 0 };
   std::uint64_t design_hash = 0;
   flow_artifact_cache cache;
-  std::mutex results_mutex; ///< guards results, inflight
-  std::condition_variable results_cv;
-  std::map<std::string, cached_outcome> results;
-  std::map<std::string, std::shared_ptr<inflight_request>> inflight;
 };
 
 synthesis_daemon::synthesis_daemon( daemon_options options ) : options_( std::move( options ) )
@@ -639,18 +550,13 @@ synthesis_daemon::~synthesis_daemon()
   stop();
 }
 
-synthesis_daemon::design_context& synthesis_daemon::context_for( const std::string& design,
+synthesis_daemon::design_context& synthesis_daemon::context_for( reciprocal_design design,
                                                                  unsigned bitwidth )
 {
-  if ( design != "intdiv" && design != "newton" )
-  {
-    throw std::runtime_error( "unknown design '" + design + "' (intdiv|newton)" );
-  }
-  const auto kind = design == "intdiv" ? reciprocal_design::intdiv : reciprocal_design::newton;
   design_context* ctx = nullptr;
   {
     std::lock_guard<std::mutex> lock( mutex_ );
-    auto& slot = designs_[design + ":" + std::to_string( bitwidth )];
+    auto& slot = designs_[{ design, bitwidth }];
     if ( !slot )
     {
       slot = std::make_unique<design_context>();
@@ -665,7 +571,7 @@ synthesis_daemon::design_context& synthesis_daemon::context_for( const std::stri
   if ( !ctx->elaborated.load() )
   {
     fault_injection::poll( "daemon.elaborate" );
-    auto aig = verilog::elaborate_verilog( reciprocal_verilog( kind, bitwidth ) ).aig;
+    auto aig = verilog::elaborate_verilog( reciprocal_verilog( design, bitwidth ) ).aig;
     ctx->design_hash = aig.content_hash();
     ctx->aig = std::move( aig );
     ctx->elaborated.store( true );
@@ -676,198 +582,53 @@ synthesis_daemon::design_context& synthesis_daemon::context_for( const std::stri
 std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std::string>& fields )
 {
   stopwatch watch;
-  const auto design = field_or( fields, "design", "" );
-  if ( design.empty() )
-  {
-    throw std::runtime_error( "synthesize needs a 'design' field" );
-  }
-  const auto bitwidth = uint_field( fields, "bitwidth", 0u );
-  if ( bitwidth == 0u )
-  {
-    throw std::runtime_error( "synthesize needs a nonzero 'bitwidth' field" );
-  }
   const auto params = params_from_fields( fields );
+  const auto bitwidth = uint_field( fields, "bitwidth", 0u );
+  const auto design = bounded_design( fields, params, bitwidth );
+  // Armed on entry: waiting on the elaboration, on an identical request's
+  // outcome cell or behind other requests' tasks consumes this request's
+  // own budget.  One that expired while it waited on an unpublished
+  // outcome answers `timed_out` at once: its graph starts no task.
+  const auto stop = deadline::in( params.limits.deadline_seconds );
   auto& ctx = context_for( design, bitwidth );
-  const auto rkey = outcome_key( params );
-  const store_key skey{ ctx.design_hash, payload_kind::flow_outcome, rkey };
 
-  // Decision loop under the context lock: memory tier, then the in-flight
-  // table (coalesce onto an identical running synthesis), then claim
-  // ownership subject to admission control.  A coalesced waiter that
-  // wakes with a larger budget than the owner's re-runs the loop — it may
-  // now be the one that upgrades the freshly cached degraded outcome.
-  using inflight_request = design_context::inflight_request;
-  std::shared_ptr<inflight_request> entry;
-  bool upgrading = false;
-  {
-    std::unique_lock<std::mutex> lock( ctx.results_mutex );
-    while ( true )
+  // One outcome lookup: a hit (memory or store), a wait on an identical
+  // request's computation, or a computation of our own, which claims an
+  // admission slot and runs the staged flow as a task graph on the shared
+  // pool.  Stage work still coalesces per design through the stage cells.
+  const auto answer = ctx.cache.outcome( ctx.design_hash, params, [&] {
+    // Only a computing request holds an admission slot.  The release is
+    // armed before the claim, so a refused claim gives its count back too.
+    const std::unique_ptr<std::atomic<std::size_t>, release_slot> slot( &inflight_ );
+    if ( inflight_.fetch_add( 1 ) >= max_inflight_ )
     {
-      // Memory tier: a full hit skips synthesis AND verification — the
-      // cached entry carries the verdict — unless this requester's larger
-      // budget justifies recomputing an imperfect one.
-      const auto it = ctx.results.find( rkey );
-      if ( it != ctx.results.end() &&
-           !upgrade_worthwhile( it->second.result, it->second.produced_with, params.limits ) )
-      {
-        // The response is formatted from the cached entry in place: copying
-        // its circuit (up to 5e5 gates) per hit only costs memory.
-        auto response =
-            synthesize_response( params, it->second.result, true, watch.elapsed_seconds() );
-        lock.unlock();
-        {
-          std::lock_guard<std::mutex> slock( mutex_ );
-          ++stats_.result_hits;
-        }
-        return response;
-      }
-      const bool memory_upgrade = it != ctx.results.end();
-
-      // In-flight tier: identical concurrent queries fold onto the one
-      // owner's synthesis instead of recomputing.
-      const auto fit = ctx.inflight.find( rkey );
-      if ( fit != ctx.inflight.end() )
-      {
-        const auto shared = fit->second;
-        {
-          std::lock_guard<std::mutex> slock( mutex_ );
-          ++stats_.coalesced;
-        }
-        ctx.results_cv.wait( lock, [&shared] { return shared->done; } );
-        if ( shared->error )
-        {
-          std::rethrow_exception( shared->error );
-        }
-        if ( !upgrade_worthwhile( shared->result, shared->produced_with, params.limits ) )
-        {
-          return synthesize_response( params, shared->result, true, watch.elapsed_seconds() );
-        }
-        continue;
-      }
-
-      // Miss (or upgrade): claim ownership, subject to the admission cap —
-      // beyond max_inflight_ owners the request is rejected immediately so
-      // one huge design cannot absorb every connection thread.
-      if ( inflight_.fetch_add( 1 ) >= max_inflight_ )
-      {
-        inflight_.fetch_sub( 1 );
-        lock.unlock();
-        {
-          std::lock_guard<std::mutex> slock( mutex_ );
-          ++stats_.rejected;
-        }
-        return error_response(
-            "synthesis queue full (" + std::to_string( max_inflight_ ) + " in flight)", "busy" );
-      }
-      upgrading = memory_upgrade;
-      entry = std::make_shared<inflight_request>();
-      entry->produced_with = params.limits;
-      ctx.inflight.emplace( rkey, entry );
-      break;
+      throw refused( "synthesis queue full (" + std::to_string( max_inflight_ ) + " in flight)",
+                     "busy" );
     }
-  }
-
-  // Owner path.  Whatever happens, the in-flight entry must be published
-  // and erased and the waiters woken — an exception reaches them as
-  // `entry->error`.
-  try
-  {
-    // Disk tier (pointless when we already decided to upgrade a memory
-    // slot).  A disk hit is subject to the same budget-honesty rule; a
-    // corrupt or budget-blind legacy entry counts as a miss and is
-    // recomputed and rewritten below.
-    if ( !upgrading && store_ )
-    {
-      if ( const auto payload = store_->load( skey ) )
-      {
-        try
-        {
-          budget produced_with;
-          const auto result = decode_outcome( *payload, produced_with );
-          if ( !upgrade_worthwhile( result, produced_with, params.limits ) )
-          {
-            {
-              std::lock_guard<std::mutex> lock( ctx.results_mutex );
-              ctx.results[rkey] = { result, produced_with };
-              entry->result = result;
-              entry->produced_with = produced_with;
-              entry->done = true;
-              ctx.inflight.erase( rkey );
-              ctx.results_cv.notify_all();
-            }
-            inflight_.fetch_sub( 1 );
-            {
-              std::lock_guard<std::mutex> slock( mutex_ );
-              ++stats_.result_hits;
-            }
-            return synthesize_response( params, result, true, watch.elapsed_seconds() );
-          }
-          upgrading = true; // the store has it, but this requester can do better
-        }
-        catch ( const deserialize_error& )
-        {
-          // corrupt outcome entry: recompute below
-        }
-      }
-    }
-
-    // Synthesize on the shared pool: the staged flow becomes a little
-    // dependency graph (optimize → artifact → tail) that runs alongside
-    // every other in-flight request's graph; stage work still coalesces
-    // per design through the artifact-cache keys.  The deadline is armed
-    // here — at admission — so time spent queued behind other requests'
-    // tasks consumes this request's budget, and a tail that cannot start
-    // before expiry reports `timed_out` instead of running late.
-    const auto stop = deadline::in( params.limits.deadline_seconds );
     flow_result out;
     task_graph graph;
     const auto ids = add_flow_tasks( graph, ctx.aig, params, ctx.cache, stop, out );
     graph.run( *pool_, stop );
     fill_flow_status_from_graph( graph, ids.tail, out );
+    return out;
+  } );
 
-    {
-      std::lock_guard<std::mutex> slock( mutex_ );
-      ++stats_.synthesized;
-      if ( upgrading )
-      {
-        ++stats_.upgraded;
-      }
-    }
-    // Only completed results are worth remembering: a timed-out or failed
-    // attempt must not pin the failure for every later (possibly
-    // better-budgeted) requester.  An upgrade overwrites both tiers.
-    const bool cacheable =
-        out.status == flow_status::ok || out.status == flow_status::degraded;
-    {
-      std::lock_guard<std::mutex> lock( ctx.results_mutex );
-      if ( cacheable )
-      {
-        ctx.results[rkey] = { out, params.limits };
-      }
-      entry->result = out;
-      entry->done = true;
-      ctx.inflight.erase( rkey );
-      ctx.results_cv.notify_all();
-    }
-    inflight_.fetch_sub( 1 );
-    if ( cacheable && store_ )
-    {
-      store_->save( skey, encode_outcome( out, params.limits ) );
-    }
-    return synthesize_response( params, out, false, watch.elapsed_seconds() );
-  }
-  catch ( ... )
+  const bool from_cache = !answer.refreshed && answer.tier != cache_tier::computed;
   {
+    std::lock_guard<std::mutex> lock( mutex_ );
+    if ( !from_cache )
     {
-      std::lock_guard<std::mutex> lock( ctx.results_mutex );
-      entry->error = std::current_exception();
-      entry->done = true;
-      ctx.inflight.erase( rkey );
-      ctx.results_cv.notify_all();
+      ++stats_.synthesized;
+      stats_.upgraded += answer.refreshed ? 1u : 0u;
     }
-    inflight_.fetch_sub( 1 );
-    throw;
+    else
+    {
+      ++( answer.tier == cache_tier::waited ? stats_.coalesced : stats_.result_hits );
+    }
   }
+  // Formatted from the shared value in place: copying its circuit (up to
+  // 5e5 gates) per hit only costs memory.
+  return synthesize_response( params, answer.value->result, from_cache, watch.elapsed_seconds() );
 }
 
 std::string synthesis_daemon::handle_request( const std::string& line )
@@ -897,7 +658,7 @@ std::string synthesis_daemon::handle_request( const std::string& line )
       {
         std::lock_guard<std::mutex> lock( mutex_ );
         d = stats_;
-        for ( const auto& [name, ctx] : designs_ )
+        for ( const auto& [design, ctx] : designs_ )
         {
           num_designs += ctx->elaborated.load() ? 1u : 0u;
           const auto s = ctx->cache.stats();
@@ -915,9 +676,7 @@ std::string synthesis_daemon::handle_request( const std::string& line )
       out += ",\"rejected\":" + std::to_string( d.rejected );
       out += ",\"upgraded\":" + std::to_string( d.upgraded );
       out += ",\"inflight\":" + std::to_string( inflight_.load() );
-      out += ",\"threads\":" + std::to_string( pool_->num_workers() == 0u
-                                                   ? 1u
-                                                   : pool_->num_workers() );
+      out += ",\"threads\":" + std::to_string( num_threads() );
       out += ",\"designs\":" + std::to_string( num_designs );
       out += ",\"artifact_hits\":" + std::to_string( artifacts.hits );
       out += ",\"artifact_store_hits\":" + std::to_string( artifacts.store_hits );
@@ -938,6 +697,12 @@ std::string synthesis_daemon::handle_request( const std::string& line )
       return handle_synthesize( fields );
     }
     throw std::runtime_error( cmd.empty() ? "missing 'cmd' field" : "unknown cmd '" + cmd + "'" );
+  }
+  catch ( const refused& e )
+  {
+    std::lock_guard<std::mutex> lock( mutex_ );
+    ++( e.code == "busy" ? stats_.rejected : stats_.errors );
+    return error_response( e.what(), e.code );
   }
   catch ( const std::exception& e )
   {

@@ -3,36 +3,36 @@
 ///
 /// `synthesis_daemon` keeps the expensive state of the synthesis pipeline
 /// alive between queries: one shared persistent `artifact_store` (disk
-/// tier), a per-design `flow_artifact_cache` (stage artifacts + the
-/// persistent incremental SAT engine, so repeat verifications of one
-/// design share the miter encoding and learned lemmas), and a full-result
-/// cache (`payload_kind::flow_outcome`, in memory and on disk) so a repeat
+/// tier) and a per-design `flow_artifact_cache`: stage artifacts, the
+/// persistent incremental SAT engine (repeat verifications of one design
+/// share the miter encoding and learned lemmas) and synthesize outcomes
+/// (`payload_kind::flow_outcome`, in memory and on disk), so a repeat
 /// synthesis query is answered without recomputing anything.
 ///
-/// Execution model: connection threads are pure I/O.  Every admitted
-/// synthesize request builds its staged flow as a `task_graph`
-/// (optimize → backend artifact → synthesis tail) and runs it on ONE
-/// long-lived work-stealing pool shared by all in-flight requests, so a
-/// big design's stages parallelize across workers and concurrent requests
-/// interleave at task granularity instead of fighting over cores
-/// thread-per-request.  Identical concurrent queries coalesce: an
-/// in-flight table keyed on the result-cache key (`outcome_key`) makes
-/// every duplicate wait for the one owner's synthesis and share its
-/// result — N identical in-flight queries run `run_flow_staged` exactly
-/// once (stats `synthesized == 1`, the rest counted `coalesced`).
+/// Execution model: connection threads are pure I/O.  A synthesize
+/// request is one `flow_artifact_cache::outcome` lookup; the daemon keeps
+/// no per-key state.  A request that computes builds its staged flow as a
+/// `task_graph` (optimize → backend artifact → synthesis tail) and runs it
+/// on ONE long-lived work-stealing pool shared by all requests.  Identical
+/// concurrent queries coalesce on the outcome's cell: N of them run the
+/// flow once (stats `synthesized == 1`, the rest `coalesced` or
+/// `result_hits`).
 ///
-/// Admission control: at most `max_inflight` syntheses may be in flight;
-/// requests beyond that are rejected immediately with
+/// Admission control: a bitwidth outside the generator's range, or a
+/// functional flow above `functional_flow_max_bitwidth`, is refused before
+/// any design state is allocated.  At most `max_inflight` requests compute
+/// at once; beyond that a request is rejected immediately with
 /// `{"ok":false,...,"code":"busy"}` so one huge design cannot starve the
-/// socket.  A request's deadline is armed at admission — time spent
-/// queued behind other requests' tasks consumes its budget, and a tail
-/// that cannot start before expiry reports `timed_out`.
+/// socket.  A request's deadline is armed when its handling starts: time
+/// spent waiting on elaboration, on an identical request's computation or
+/// behind other requests' tasks consumes its budget.
 ///
-/// Budget-honest result cache: cached outcomes remember the budget they
-/// were produced under.  A cached `degraded` (or verify-downgraded)
-/// outcome is served as-is only to requesters with no more budget than
-/// the producer had; a strictly better-funded requester triggers a
-/// recompute that upgrades the memory slot and the store entry (stats
+/// Budget-honest result cache: only `ok`/`degraded` outcomes are cached,
+/// each with the budget it was produced under; a `timed_out`/`failed` one
+/// answers only its own request.  A cached `degraded` (or
+/// verify-downgraded) outcome is served as-is only to requesters with no
+/// more budget than the producer had; a strictly better-funded requester
+/// recomputes it and upgrades the cell and the store entry (stats
 /// `upgraded`), mirroring the stage-level ESOP upgrade path.
 ///
 /// Wire protocol: line-delimited JSON over `AF_UNIX`/`SOCK_STREAM` — one
@@ -51,12 +51,14 @@
 ///
 /// Every response carries `"ok":true|false`; a synthesize response adds
 /// the cost report, the flow/verification status, `"from_cache"` (served
-/// from the result cache or coalesced onto an in-flight duplicate), and
+/// from the result cache or by an identical request's computation), and
 /// `"seconds"` (server-side handling time).  Failures get `"ok":false` +
 /// `"error"`, plus a machine-readable `"code"` for backpressure:
-/// `"busy"` (admission or connection cap hit — retry later) and
-/// `"line_too_long"` (request line exceeded `max_line_bytes`; the daemon
-/// answers then drops the connection instead of buffering without bound).
+/// `"busy"` (admission or connection cap hit — retry later),
+/// `"too_large"` (bitwidth above the generators' range, or a functional
+/// flow above `functional_flow_max_bitwidth`) and `"line_too_long"`
+/// (request line exceeded `max_line_bytes`; the daemon answers then drops
+/// the connection instead of buffering without bound).
 /// The daemon never dies on bad input.  Connections are capped at
 /// `max_connections` and their threads reaped as they finish; all shared
 /// state is internally synchronized.
@@ -69,6 +71,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "../core/flows.hpp"
 #include "artifact_store.hpp"
@@ -89,7 +92,7 @@ struct daemon_options
   /// honoring QSYN_THREADS; 1 = inline execution on the request thread).
   unsigned num_threads = 0;
   /// Admission cap: synthesize requests beyond this many in-flight
-  /// syntheses are rejected with code "busy" (0 = 2x workers, min 4).
+  /// computations are rejected with code "busy" (0 = 2x workers, min 4).
   std::size_t max_inflight = 0;
   /// Connection cap: accepts beyond this many live connections are
   /// answered with code "busy" and closed.
@@ -109,7 +112,7 @@ struct daemon_stats
   std::size_t result_hits = 0;  ///< synthesize queries served from the
                                 ///< result cache (memory or disk)
   std::size_t coalesced = 0;    ///< synthesize queries that waited on an
-                                ///< identical in-flight query's synthesis
+                                ///< identical query's computation
   std::size_t rejected = 0;     ///< requests/connections rejected "busy"
   std::size_t upgraded = 0;     ///< degraded cached outcomes recomputed
                                 ///< for a better-budgeted requester
@@ -143,7 +146,7 @@ public:
   [[nodiscard]] bool shutdown_requested() const;
 
   [[nodiscard]] daemon_stats stats() const;
-  /// Currently admitted (owner) syntheses — a gauge, not a counter; also
+  /// Currently admitted (computing) requests — a gauge, not a counter; also
   /// reported as `"inflight"` by the stats command so clients can probe
   /// saturation.
   [[nodiscard]] std::size_t inflight() const;
@@ -154,7 +157,7 @@ public:
 private:
   struct design_context;
 
-  design_context& context_for( const std::string& design, unsigned bitwidth );
+  design_context& context_for( reciprocal_design design, unsigned bitwidth );
   std::string handle_synthesize( const std::map<std::string, std::string>& fields );
   void accept_loop();
   void handle_connection( int fd );
@@ -167,9 +170,9 @@ private:
 
   /// Guards designs_ and stats_; never held across elaboration or synthesis.
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<design_context>> designs_;
+  std::map<std::pair<reciprocal_design, unsigned>, std::unique_ptr<design_context>> designs_;
   daemon_stats stats_;
-  std::atomic<std::size_t> inflight_{ 0 }; ///< admitted owner syntheses
+  std::atomic<std::size_t> inflight_{ 0 }; ///< admitted computations
 
   std::atomic<bool> stopping_{ false };
   std::atomic<bool> shutdown_requested_{ false };

@@ -70,9 +70,11 @@ std::uint64_t reciprocal_reference( unsigned n, std::uint64_t x )
 
 std::string generate_intdiv( unsigned n )
 {
-  if ( n == 0u || n > 192u )
+  if ( n < intdiv_min_bitwidth || n > max_bitwidth )
   {
-    throw std::invalid_argument( "generate_intdiv: n must be in [1, 192]" );
+    throw std::invalid_argument( "generate_intdiv: n must be in [" +
+                                 std::to_string( intdiv_min_bitwidth ) + ", " +
+                                 std::to_string( max_bitwidth ) + "]" );
   }
   std::ostringstream os;
   // 2^n as an (n+1)-bit binary literal: 1 followed by n zeros.
@@ -91,9 +93,11 @@ std::string generate_intdiv( unsigned n )
 
 std::string generate_newton( unsigned n, unsigned iterations )
 {
-  if ( n < 2u || n > 192u )
+  if ( n < newton_min_bitwidth || n > max_bitwidth )
   {
-    throw std::invalid_argument( "generate_newton: n must be in [2, 192]" );
+    throw std::invalid_argument( "generate_newton: n must be in [" +
+                                 std::to_string( newton_min_bitwidth ) + ", " +
+                                 std::to_string( max_bitwidth ) + "]" );
   }
   const unsigned num_iter = iterations == 0u ? newton_iterations( n ) : iterations;
   const unsigned ebits = ceil_log2( n + 1u ); ///< bits for the exponent e in [0, n]

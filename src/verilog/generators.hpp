@@ -24,6 +24,14 @@
 namespace qsyn::verilog
 {
 
+/// Bitwidth range of the generators: `generate_intdiv` accepts n in
+/// [intdiv_min_bitwidth, max_bitwidth], `generate_newton` n in
+/// [newton_min_bitwidth, max_bitwidth]; both throw std::invalid_argument
+/// outside it.
+constexpr unsigned intdiv_min_bitwidth = 1;
+constexpr unsigned newton_min_bitwidth = 2;
+constexpr unsigned max_bitwidth = 192;
+
 /// Verilog source of the INTDIV(n) reciprocal design.
 std::string generate_intdiv( unsigned n );
 

@@ -695,3 +695,54 @@ TEST( daemon, failed_elaboration_publishes_nothing_and_the_next_request_retries 
   EXPECT_EQ( designs(), "1" );
   EXPECT_EQ( daemon.stats().synthesized, 1u );
 }
+
+TEST( daemon, timed_out_outcome_is_not_cached_and_the_repeat_recomputes )
+{
+  fault_guard guard;
+  synthesis_daemon daemon( {} );
+  // The first XMG computation reports an expired budget; later ones run.
+  fault_injection::arm( "flow.xmg", fault_injection::kind::timeout, 0, 1 );
+  const auto request =
+      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"hierarchical","verify":"sampled"})";
+  const auto first = daemon.handle_request( request );
+  EXPECT_TRUE( contains( first, "\"ok\":true" ) ) << first;
+  EXPECT_TRUE( contains( first, "\"status\":\"timed_out\"" ) ) << first;
+
+  // Nothing was published: the identical repeat computes its own outcome.
+  const auto second = daemon.handle_request( request );
+  EXPECT_TRUE( contains( second, "\"status\":\"ok\"" ) ) << second;
+  EXPECT_TRUE( contains( second, "\"from_cache\":false" ) ) << second;
+  EXPECT_EQ( daemon.stats().synthesized, 2u );
+  EXPECT_EQ( daemon.stats().result_hits, 0u );
+}
+
+TEST( daemon, out_of_range_requests_are_refused_before_elaboration )
+{
+  fault_guard guard;
+  synthesis_daemon daemon( {} );
+  // Armed to fail, so the site counts polls: `context_for` polls it right
+  // after allocating a design context, and no row may get that far.
+  fault_injection::arm( "daemon.elaborate", fault_injection::kind::fail );
+  struct row
+  {
+    std::string design;
+    std::string bitwidth;
+    std::string flow;
+    bool too_large; ///< above the bound, not below it
+  };
+  const std::vector<row> rows = { { "intdiv", "193", "hierarchical", true },
+                                  { "newton", "1", "hierarchical", false },
+                                  { "intdiv", "4294967295", "esop", true },
+                                  { "newton", "10", "functional", true } };
+  for ( const auto& r : rows )
+  {
+    const auto response = daemon.handle_request(
+        R"({"cmd":"synthesize","design":")" + r.design + R"(","bitwidth":)" + r.bitwidth +
+        R"(,"flow":")" + r.flow + R"(","verify":"none","rounds":0})" );
+    EXPECT_TRUE( contains( response, "\"ok\":false" ) ) << r.bitwidth << ": " << response;
+    EXPECT_EQ( contains( response, "\"code\":\"too_large\"" ), r.too_large )
+        << r.bitwidth << ": " << response;
+  }
+  EXPECT_EQ( fault_injection::hits( "daemon.elaborate" ), 0u );
+  EXPECT_EQ( daemon.stats().errors, rows.size() );
+}

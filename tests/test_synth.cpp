@@ -290,34 +290,12 @@ TEST( aig_optimize, refactor_preserves_function )
   EXPECT_TRUE( sat::check_equivalence( aig, refactored ).equivalent );
 }
 
-TEST( aig_optimize, sat_sweep_merges_duplicates )
-{
-  aig_network aig( 3 );
-  // Build the same function twice in structurally different ways.
-  const auto f1 = aig.create_or( aig.create_and( aig.pi( 0 ), aig.pi( 1 ) ),
-                                 aig.create_and( aig.pi( 0 ), aig.pi( 2 ) ) );
-  const auto f2 = aig.create_and(
-      aig.pi( 0 ), aig.create_or( aig.pi( 1 ), aig.pi( 2 ) ) ); // x0 & (x1|x2) == f1
-  aig.add_po( f1 );
-  aig.add_po( f2 );
-  const auto swept = aig_sat_sweep( aig ).cleanup();
-  EXPECT_TRUE( sat::check_equivalence( aig, swept ).equivalent );
-  EXPECT_LT( swept.num_ands(), aig.num_ands() );
-}
-
 TEST( aig_optimize, optimize_shrinks_divider )
 {
   const auto aig = medium_test_network();
   const auto optimized = optimize( aig, 2 );
   EXPECT_TRUE( sat::check_equivalence( aig, optimized ).equivalent );
   EXPECT_LE( optimized.num_ands(), aig.num_ands() );
-}
-
-TEST( aig_optimize, optimize_with_sat_sweep )
-{
-  const auto aig = medium_test_network();
-  const auto optimized = optimize( aig, 1, true );
-  EXPECT_TRUE( sat::check_equivalence( aig, optimized ).equivalent );
 }
 
 TEST( aig_optimize, newton_design_roundtrip )
