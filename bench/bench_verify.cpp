@@ -7,15 +7,14 @@
 /// For every (design, bitwidth, flow) case the benchmark runs exhaustive
 /// circuit-vs-AIG verification three ways — scalar enumeration, the wide
 /// engine at its 64-lane width (`w64_ms`, one 64-bit word per line), and
-/// the SAT tier — and times the SAT tier itself three
-/// ways: the monolithic one-miter-per-call reference engine
-/// (`sat::check_equivalence`, the PR 3 path), the incremental
-/// structurally-hashed engine on a fresh instance (`sat::incremental_cec`,
-/// what a cold `verify_against_aig_sat` costs), and a warm re-check on a
-/// persistent engine (what every further configuration of a sweep costs).
-/// All tiers and both SAT engines must accept the correct circuit and
-/// reject a deliberately corrupted copy with a *real* counterexample, and
-/// the scalar and wide counterexamples must be bit-identical.
+/// the SAT tier — and times the SAT tier two ways: the monolithic
+/// one-miter-per-call reference engine (`sat::check_equivalence`), and the
+/// tier as the product runs it (`sat_ms`: `verify_against_aig_sat_budgeted`
+/// on a fresh engine, which proves these 7- and 8-input designs by one
+/// exhaustive pass of the wide engine).  All tiers and both SAT paths must
+/// accept the correct circuit and reject a deliberately corrupted copy with
+/// a *real* counterexample, and the scalar and wide counterexamples must be
+/// bit-identical.
 ///
 /// Per case it also times the wide engine at the width the DSE exhaustive
 /// tier picks (`wide_ms`, informational), its sustained per-word cost at
@@ -31,10 +30,13 @@
 /// `w64_ms` and `w64_word_us` replaced the fields that timed the deleted
 /// 64-bit block simulator.  Schema v5 drops the informational frontier
 /// batch timings (`frontier_*`, `min_frontier_speedup`, `frontier_k`)
-/// together with the batched verification API they measured.
+/// together with the batched verification API they measured.  Schema v6
+/// re-points `sat_ms` from a bare `incremental_cec::check` on a
+/// pre-extracted AIG to the SAT-tier entry point, and drops `sat_warm_ms`:
+/// a narrow check keeps no engine state, so a warm run equals a cold one.
 ///
 /// It writes BENCH_verify.json (see docs/ARCHITECTURE.md) with per-case
-/// wall clocks and the w64-vs-scalar / incremental-vs-monolithic /
+/// wall clocks and the w64-vs-scalar / SAT-tier-vs-monolithic /
 /// w512-vs-w64 speedups so every future PR can extend the
 /// perf trajectory (scripts/run_bench.sh gates on it).
 ///
@@ -130,9 +132,8 @@ struct case_result
   std::string simd_backend;  ///< kernel backend active at the case's width
   std::string cex;           ///< corrupted-circuit counterexample, bit i = input i
   double sat_mono_ms = 0.0;  ///< monolithic reference (sat::check_equivalence)
-  double sat_ms = 0.0;       ///< incremental engine, cold (fresh instance)
-  double sat_warm_ms = 0.0;  ///< incremental engine, warm re-check (sweep reuse)
-  double sat_speedup = 0.0;  ///< monolithic vs cold incremental
+  double sat_ms = 0.0;       ///< SAT-tier entry point on a fresh engine
+  double sat_speedup = 0.0;  ///< monolithic vs the SAT tier
   bool tiers_agree = true;      ///< all tiers accept the correct circuit,
                                 ///< scalar == wide bit-for-bit
   bool corrupt_rejected = true; ///< all tiers reject the corrupted circuit
@@ -225,32 +226,24 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   const auto scalar_cex = scalar_exhaustive( circuit, spec );
   const auto wide_cex = verify_against_aig_exhaustive( circuit, spec );
 
-  // SAT tier, three ways, all timed on the same precomputed impl AIG so
-  // the gated speedup compares the engines alone (circuit_to_aig
-  // extraction is outside both scopes).  Monolithic reference: fresh
-  // solver + one global miter per call (the PR 3 path, kept in
-  // sat/cnf.hpp).
+  // SAT tier, two ways.  Monolithic reference: fresh solver + one global
+  // miter per call on a precomputed impl AIG (sat/cnf.hpp).  The tier
+  // itself: the product's entry point on a fresh engine, so whatever path
+  // it takes for this design (extraction included) is inside the scope.
   bool mono_ok = true;
-  bool cold_ok = true;
-  bool warm_ok = true;
+  bool sat_ok = true;
   if ( !sim_only )
   {
     const auto impl = circuit_to_aig( circuit );
     r.sat_mono_ms = time_ms( [&] { mono_ok = sat::check_equivalence( spec, impl ).equivalent; } );
-    // Cold incremental: fresh engine per call — what the first `sat`-tier
-    // check of a sweep costs.
     r.sat_ms = time_ms( [&] {
-      sat::incremental_cec cold;
-      cold_ok = cold.check( spec, impl ).equivalent;
+      sat::incremental_cec engine;
+      sat_ok = verify_against_aig_sat_budgeted( circuit, spec, engine, sat::check_limits{} )
+                   .equivalent;
     } );
-    // Warm incremental: a persistent engine re-checking after a first encode —
-    // the cost every further configuration of a sweep pays for this cone.
-    sat::incremental_cec warm_engine;
-    (void)warm_engine.check( spec, impl );
-    r.sat_warm_ms = time_ms( [&] { warm_ok = warm_engine.check( spec, impl ).equivalent; } );
     r.sat_speedup = r.sat_ms > 0.0 ? r.sat_mono_ms / r.sat_ms : 0.0;
   }
-  r.tiers_agree = !scalar_cex && !wide_cex && cold_ok && mono_ok && warm_ok;
+  r.tiers_agree = !scalar_cex && !wide_cex && sat_ok && mono_ok;
 
   r.scalar_ms = time_ms( [&] { (void)scalar_exhaustive( circuit, spec ); } );
   r.w64_ms = time_ms( [&] {
@@ -306,7 +299,8 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     const auto sat_bad = verify_against_aig_sat( corrupted, spec );
     const auto mono_bad = sat::check_equivalence( spec, circuit_to_aig( corrupted ) );
     r.corrupt_rejected = r.corrupt_rejected && sat_bad.has_value() && !mono_bad.equivalent;
-    // SAT counterexamples are solver-dependent; require both engines' to be real.
+    // Both SAT counterexamples must be real (the monolithic one is
+    // solver-dependent, the tier's reports its lowest failing output).
     if ( sat_bad )
     {
       r.corrupt_rejected = r.corrupt_rejected &&
@@ -363,10 +357,10 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
 
   std::printf( "%-16s pis %2u  gates %6zu | scalar %9.3f ms | w64 %8.4f ms (%6.1fx) | "
                "word %8.3f -> %7.3f us (%4.1fx, %s) | wide %8.4f ms (%4.1fx) | "
-               "sat mono %8.2f ms  inc %7.2f ms (%5.1fx)  warm %7.3f ms | %s%s%s\n",
+               "sat mono %8.2f ms  tier %7.3f ms (%6.1fx) | %s%s%s\n",
                r.name.c_str(), r.pis, r.gates, r.scalar_ms, r.w64_ms, r.speedup,
                r.w64_word_us, r.wide_word_us, r.width_speedup, r.simd_backend.c_str(),
-               r.wide_ms, r.wide_speedup, r.sat_mono_ms, r.sat_ms, r.sat_speedup, r.sat_warm_ms,
+               r.wide_ms, r.wide_speedup, r.sat_mono_ms, r.sat_ms, r.sat_speedup,
                r.tiers_agree ? "agree" : "TIERS DIVERGED",
                r.corrupt_rejected ? "" : ", CORRUPTION MISSED",
                r.widths_agree ? "" : ", WIDTHS DIVERGED" );
@@ -399,7 +393,7 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( stderr, "cannot open %s for writing\n", path );
     std::exit( 1 );
   }
-  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 5,\n" );
+  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 6,\n" );
   std::fprintf( f, "  \"sim_only\": %s,\n", sim_only ? "true" : "false" );
   std::fprintf( f, "  \"simd_backend\": \"%s\",\n",
                 simd_backend_name( active_simd_backend( sim_width::w512 ) ) );
@@ -432,8 +426,7 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( f, "      \"simd_backend\": \"%s\",\n", c.simd_backend.c_str() );
     std::fprintf( f, "      \"cex\": \"%s\",\n", c.cex.c_str() );
     std::fprintf( f, "      \"sat_mono_ms\": %.2f,\n", c.sat_mono_ms );
-    std::fprintf( f, "      \"sat_ms\": %.2f,\n", c.sat_ms );
-    std::fprintf( f, "      \"sat_warm_ms\": %.3f,\n", c.sat_warm_ms );
+    std::fprintf( f, "      \"sat_ms\": %.4f,\n", c.sat_ms );
     std::fprintf( f, "      \"sat_speedup\": %.1f,\n", c.sat_speedup );
     std::fprintf( f, "      \"tiers_agree\": %s,\n", c.tiers_agree ? "true" : "false" );
     std::fprintf( f, "      \"corrupt_rejected\": %s,\n", c.corrupt_rejected ? "true" : "false" );

@@ -41,10 +41,12 @@
 #   * the AVX build (QSYN_SIMD=native) and the portable build (QSYN_SIMD
 #     default off) disagree on any verdict, counterexample bit string, or
 #     cross-width identity in a fresh --sim-only run of bench_verify,
-#   * the incremental SAT engine regresses: aggregate SAT-tier wall clock
-#     (or the incremental-vs-monolithic speedup, measured in the same run)
-#     more than 15% worse than the committed baseline, or the NEWTON(8)
-#     hierarchical miter below its 10x floor,
+#   * the SAT tier regresses (schema v6: `sat_ms` times the tier's entry
+#     point, which proves these <= 12-input designs by one exhaustive
+#     wide-engine pass): aggregate SAT-tier wall clock or the
+#     tier-vs-monolithic speedup (measured in the same run) worse than the
+#     committed baseline by more than its band, or the NEWTON(8)
+#     hierarchical case below its 10x floor,
 #   * docs/ARCHITECTURE.md is missing or no longer mentions every src/*
 #     subdirectory.
 # Finally reruns the verification + store test suites under
@@ -398,10 +400,10 @@ import sys
 SPEEDUP_REGRESSION_LIMIT = 0.25
 SPEEDUP_FLOOR = 20.0  # every case must keep a >= 20x w64-vs-scalar win
 
-SAT_REGRESSION_LIMIT = 0.15       # incremental-vs-monolithic speedup band
+SAT_REGRESSION_LIMIT = 0.15       # SAT-tier-vs-monolithic speedup band
 SAT_WALL_REGRESSION_LIMIT = 0.25  # absolute SAT wall clock: same run-to-run
                                   # noise allowance as the w64 gate
-SAT_NEWTON8_FLOOR = 10.0          # incremental-vs-monolithic on the flagship miter
+SAT_NEWTON8_FLOOR = 10.0          # SAT-tier-vs-monolithic on the flagship miter
 
 # Schema v4 (SIMD-wide engine): sustained per-word verification throughput
 # of the w512 lane group vs the same engine at w64, persistent engines,
@@ -426,10 +428,10 @@ fresh = {c["name"]: c for c in fresh_doc["cases"]}
 failures = []
 if not fresh_doc.get("all_agree", False):
     failures.append("verification tiers diverged or a corrupted circuit slipped through")
-if fresh_doc.get("schema_version", 0) < 4:
+if fresh_doc.get("schema_version", 0) < 6:
     failures.append(
         "fresh BENCH_verify.json has schema_version "
-        f"{fresh_doc.get('schema_version', 0)} (< 4): no w64-based metrics"
+        f"{fresh_doc.get('schema_version', 0)} (< 6): sat_ms does not time the SAT-tier entry point"
     )
 if not fresh_doc.get("widths_agree", False):
     failures.append(
@@ -455,7 +457,7 @@ for name, base in sorted(baseline.items()):
         )
     if name == "newton-n8-hier" and new.get("sat_speedup", 0.0) < SAT_NEWTON8_FLOOR:
         failures.append(
-            f"{name}: incremental-vs-monolithic SAT speedup "
+            f"{name}: SAT-tier-vs-monolithic speedup "
             f"{new.get('sat_speedup', 0.0):.1f}x below the {SAT_NEWTON8_FLOOR:.0f}x floor"
         )
     if not new.get("widths_agree", False):
@@ -509,14 +511,14 @@ if base_speedup > 0 and fresh_speedup < base_speedup * (1.0 - SPEEDUP_REGRESSION
     )
 
 # SAT-tier gates.  Machine-independent primary: the aggregate
-# incremental-vs-monolithic speedup, both engines timed in the same fresh
-# run.  Machine-dependent secondary: absolute aggregate SAT wall clock vs
-# the committed baseline (re-baseline on hardware changes, see README).
+# SAT-tier-vs-monolithic speedup, both timed in the same fresh run.
+# Machine-dependent secondary: absolute aggregate SAT wall clock vs the
+# committed baseline (re-baseline on hardware changes, see README).
 base_sat_speedup = (base_mono / base_sat) if base_sat > 0 else 0.0
 fresh_sat_speedup = (fresh_mono / fresh_sat) if fresh_sat > 0 else 0.0
 if base_sat_speedup > 0 and fresh_sat_speedup < base_sat_speedup * (1.0 - SAT_REGRESSION_LIMIT):
     failures.append(
-        f"aggregate incremental-vs-monolithic SAT speedup {fresh_sat_speedup:.1f}x vs "
+        f"aggregate SAT-tier-vs-monolithic speedup {fresh_sat_speedup:.1f}x vs "
         f"baseline {base_sat_speedup:.1f}x (> {SAT_REGRESSION_LIMIT:.0%} regression)"
     )
 if base_sat > 0 and fresh_sat > base_sat * (1.0 + SAT_WALL_REGRESSION_LIMIT):

@@ -801,7 +801,8 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
       break;
     case verify_mode::sat:
     {
-      // The cache-owned persistent engine: every configuration of a sweep
+      // Narrow designs are proved by simulation; wider ones go to the
+      // cache-owned persistent engine, where every configuration of a sweep
       // re-uses the spec encoding and the lemmas of earlier checks.  An
       // injected "verify.sat" trip simulates immediate budget exhaustion.
       sat::check_limits climits;

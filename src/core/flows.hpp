@@ -27,14 +27,15 @@
 /// Every flow closes with a verification tier selected by
 /// `flow_params::verification` (`verify_mode`): bit-parallel random
 /// sampling, bit-parallel exhaustive enumeration (64–512 assignments per
-/// gate pass, wide_sim.hpp), or the incremental SAT
-/// equivalence engine (`sat::incremental_cec`) — the ladder mirrors the
-/// paper's closing ABC `cec` call, one check per synthesized circuit.  The
+/// gate pass, wide_sim.hpp), or a SAT-tier proof (one exhaustive pass up
+/// to 12 inputs, the incremental equivalence engine `sat::incremental_cec`
+/// above) — the ladder mirrors the paper's closing ABC `cec` call, one
+/// check per synthesized circuit.  The
 /// check always runs inline, at the end of the flow's own synthesis tail,
 /// so a DSE sweep point and a `run_flow_on_aig` call verify the same way
 /// under the same deadline.  The cache owns the sweep's persistent
-/// engine (`sat_engine()`), so every `sat`-tier check of a sweep shares
-/// one encoding and its learned lemmas.
+/// engine (`sat_engine()`), so every engine check of a sweep shares one
+/// encoding and its learned lemmas.
 /// The flow result carries the reversible circuit, the cost report, the
 /// synthesis runtime (verification is timed separately in
 /// `verify_seconds`, with the tier recorded in `verified_with`), and
@@ -330,7 +331,8 @@ public:
 
   /// The cache's persistent incremental SAT equivalence engine
   /// (`sat::incremental_cec`), created on first use.  Every `sat`-tier
-  /// verification of a `run_flow_staged` call on this cache goes through it,
+  /// verification of a `run_flow_staged` call on this cache whose design
+  /// is wider than `sat_tier_simulation_max_pis` inputs goes through it,
   /// so a sweep's configurations share the spec encoding, fraig merges, and
   /// learned lemmas instead of re-encoding the miter from scratch per
   /// configuration.  Thread-safe (the engine serializes internally; creation

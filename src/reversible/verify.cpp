@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "../common/bits.hpp"
 #include "../sat/incremental.hpp"
@@ -173,56 +174,124 @@ bool verify_against_truth_tables( const reversible_circuit& circuit,
 namespace
 {
 
-/// The exhaustive tier: one counter-order enumeration, the spec and the
-/// circuit simulated once per lane group.  Word-by-word comparison in block
-/// order keeps the first-counterexample contract (the lowest failing
-/// assignment in counter order) and the per-assignment coverage accounting
-/// identical at every width.
-partial_verify_report exhaustive_wide( const reversible_circuit& circuit, const aig_network& aig,
-                                       const deadline& stop, sim_width width )
+/// The counter-order enumeration of the exhaustive passes: the spec and
+/// the circuit are simulated once per lane group over all 2^inputs
+/// assignments, in block order, and `visit( words, live, expected, actual )`
+/// inspects each group (its first `live` words lie inside the input space)
+/// and returns false to stop.  The deadline is polled once per
+/// pass; returns false iff it expired before the enumeration finished.
+template<typename Visit>
+bool for_each_counter_group( const reversible_circuit& circuit, const aig_network& aig,
+                             const deadline& stop, sim_width width, const char* tier,
+                             Visit&& visit )
 {
   const auto W = words_of( width );
   const auto num_pis = aig.num_pis();
   if ( num_pis > 24u )
   {
-    throw std::invalid_argument( "verify_against_aig_exhaustive: too many inputs" );
+    throw std::invalid_argument( std::string( tier ) + ": too many inputs" );
   }
   wide_simulator sim( circuit, width );
   if ( sim.input_lines().size() != num_pis || sim.output_lines().size() != aig.num_pos() )
   {
-    throw std::invalid_argument( "verify_against_aig_exhaustive: interface mismatch" );
+    throw std::invalid_argument( std::string( tier ) + ": interface mismatch" );
   }
-  partial_verify_report report;
-  report.assignments_requested = std::uint64_t{ 1 } << num_pis;
   wide_aig_simulator spec( aig, width );
   const auto poll_deadline = !stop.unlimited();
-  const auto mask = block_mask( num_pis );
   const auto num_blocks = num_blocks_for( num_pis );
   std::vector<std::uint64_t> words( std::size_t{ num_pis } * W );
   for ( std::uint64_t blk = 0; blk < num_blocks; blk += W )
   {
     if ( poll_deadline && stop.expired() )
     {
-      report.complete = false;
-      return report;
+      return false;
     }
     fill_counter_wide( num_pis, blk, W, words );
     const auto& expected = spec.evaluate( words );
-    const auto& actual = sim.evaluate( words );
-    for ( unsigned k = 0; k < W && blk + k < num_blocks; ++k )
+    const auto live = static_cast<unsigned>( std::min<std::uint64_t>( W, num_blocks - blk ) );
+    if ( !visit( words, live, expected, sim.evaluate( words ) ) )
     {
-      if ( const auto diff = diff_word_wide( expected, actual, W, k ) & mask )
-      {
-        report.counterexample =
-            unpack_wide_lane( words, W, k, static_cast<unsigned>( lsb_index( diff ) ) );
-        report.assignments_completed += lsb_index( diff ) + 1u;
-        return report;
-      }
-      report.assignments_completed +=
-          std::min<std::uint64_t>( 64u, report.assignments_requested - ( blk + k ) * 64u );
+      break;
     }
   }
+  return true;
+}
+
+/// The exhaustive tier.  Word-by-word comparison in block order keeps the
+/// first-counterexample contract (the lowest failing assignment in counter
+/// order) and the per-assignment coverage accounting identical at every
+/// width.
+partial_verify_report exhaustive_wide( const reversible_circuit& circuit, const aig_network& aig,
+                                       const deadline& stop, sim_width width )
+{
+  const auto W = words_of( width );
+  const auto mask = block_mask( aig.num_pis() );
+  const auto lanes_per_block = static_cast<std::uint64_t>( popcount64( mask ) );
+  partial_verify_report report;
+  report.complete = for_each_counter_group(
+      circuit, aig, stop, width, "verify_against_aig_exhaustive",
+      [&]( const std::vector<std::uint64_t>& words, unsigned live,
+           const std::vector<std::uint64_t>& expected, const std::vector<std::uint64_t>& actual ) {
+        for ( unsigned k = 0; k < live; ++k )
+        {
+          if ( const auto diff = diff_word_wide( expected, actual, W, k ) & mask )
+          {
+            report.counterexample =
+                unpack_wide_lane( words, W, k, static_cast<unsigned>( lsb_index( diff ) ) );
+            report.assignments_completed += lsb_index( diff ) + 1u;
+            return false;
+          }
+          report.assignments_completed += lanes_per_block;
+        }
+        return true;
+      } );
+  report.assignments_requested = std::uint64_t{ 1 } << aig.num_pis();
   return report;
+}
+
+/// The SAT tier on a narrow design: one counter-order pass proves or
+/// refutes every output at once.  The counterexample is the lowest
+/// counter-order assignment distinguishing the lowest differing output
+/// (not the lowest assignment distinguishing any output, as in the
+/// exhaustive tier): outputs are scanned lowest-first in every group, and
+/// the first column where an output differs is its lowest one.
+sat_verify_outcome prove_by_simulation( const reversible_circuit& circuit,
+                                        const aig_network& aig, const deadline& stop )
+{
+  const auto width = auto_sim_width( std::uint64_t{ 1 } << aig.num_pis() );
+  const auto W = words_of( width );
+  const auto mask = block_mask( aig.num_pis() );
+  auto lowest = aig.num_pos(); // lowest output seen to differ so far
+  std::optional<std::vector<bool>> counterexample;
+  const auto finished = for_each_counter_group(
+      circuit, aig, stop, width, "verify_against_aig_sat",
+      [&]( const std::vector<std::uint64_t>& words, unsigned live,
+           const std::vector<std::uint64_t>& expected, const std::vector<std::uint64_t>& actual ) {
+        // Outputs at or above `lowest` can no longer change the answer.
+        for ( unsigned o = 0; o < lowest; ++o )
+        {
+          for ( unsigned k = 0; k < live; ++k )
+          {
+            if ( const auto diff = ( expected[o * W + k] ^ actual[o * W + k] ) & mask )
+            {
+              lowest = o;
+              counterexample =
+                  unpack_wide_lane( words, W, k, static_cast<unsigned>( lsb_index( diff ) ) );
+              break;
+            }
+          }
+        }
+        return lowest != 0u;
+      } );
+  sat_verify_outcome outcome;
+  outcome.resolved = finished;
+  outcome.equivalent = finished && !counterexample;
+  if ( finished && counterexample )
+  {
+    outcome.counterexample = std::move( counterexample );
+    outcome.failing_output = lowest;
+  }
+  return outcome;
 }
 
 /// The sampled tier.  The rng stream is consumed one word per input per
@@ -419,6 +488,10 @@ sat_verify_outcome verify_against_aig_sat_budgeted( const reversible_circuit& ci
                                                     sat::incremental_cec& engine,
                                                     const sat::check_limits& limits )
 {
+  if ( aig.num_pis() <= sat_tier_simulation_max_pis )
+  {
+    return prove_by_simulation( circuit, aig, limits.stop );
+  }
   const auto impl = circuit_to_aig( circuit );
   if ( impl.num_pis() != aig.num_pis() || impl.num_pos() != aig.num_pos() )
   {

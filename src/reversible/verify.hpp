@@ -7,21 +7,24 @@
 ///     (probabilistic; silently exhaustive when 2^inputs fits the budget),
 ///   * **exhaustive** — all 2^inputs assignments in counter order (a proof
 ///     for bounded input counts),
-///   * **SAT** — the circuit's function is extracted into an AIG and
-///     checked against the specification by the incremental equivalence
-///     engine (`qsyn::sat::incremental_cec`: shared structural hashing,
-///     per-output miters under assumptions, simulation-guided fraiging); a
-///     proof at any width, and reusable across a sweep's configurations.
-/// The simulation tiers run on one engine (wide_sim.hpp): a lane group of
-/// 1, 4, or 8 `std::uint64_t` words per circuit line packs 64–512 input
-/// assignments, and every gate sweeps whole groups — the Toffoli control
-/// conjunction is a group AND, the target update a group XOR — so one pass
-/// over the gate list settles up to 512 assignments at once (portable
-/// unrolled lanes by default, AVX2/AVX-512 words when compiled in and the
-/// CPU agrees).  Every width is bit-identical by contract; the independent
-/// oracle it is pinned against is the scalar `evaluate_circuit` below
-/// (tests/test_verify.cpp).  Each verifier checks one circuit per call; a
-/// DSE sweep makes one call per point, inside that point's task.
+///   * **SAT** — a proof at any width.  A design with at most
+///     `sat_tier_simulation_max_pis` inputs is proved by one counter-order
+///     pass of the wide engine; a wider one has its function extracted into
+///     an AIG and checked against the specification by the incremental
+///     equivalence engine (`qsyn::sat::incremental_cec`: shared structural
+///     hashing, per-output miters under assumptions, simulation-guided
+///     fraiging), reusable across a sweep's configurations.
+/// The simulation tiers and the SAT tier's narrow pass run on one engine
+/// (wide_sim.hpp): a lane group of 1, 4, or 8 `std::uint64_t` words per
+/// circuit line packs 64–512 input assignments, and every gate sweeps whole
+/// groups — the Toffoli control conjunction is a group AND, the target
+/// update a group XOR — so one pass over the gate list settles up to 512
+/// assignments at once (portable unrolled lanes by default, AVX2/AVX-512
+/// words when compiled in and the CPU agrees).  Every width is
+/// bit-identical by contract; the independent oracle it is pinned against
+/// is the scalar `evaluate_circuit` below (tests/test_verify.cpp).  Each
+/// verifier checks one circuit per call; a DSE sweep makes one call per
+/// point, inside that point's task.
 ///
 /// Conventions: input variable i lives on the i-th line flagged
 /// `is_primary_input` (in line order); constant ancillae carry
@@ -138,26 +141,37 @@ partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circ
 /// its (polarity-adjusted) control literals XORed onto its target.
 aig_network circuit_to_aig( const reversible_circuit& circuit );
 
-/// Proves or refutes circuit-vs-AIG equivalence through the incremental
-/// SAT equivalence engine (`qsyn::sat::incremental_cec` on the extracted
+/// Specs with at most this many inputs are proved by the SAT tier in one
+/// exhaustive pass of the wide engine (2^12 assignments are 8 lane groups
+/// of 512), with no AIG extraction and no contact with the engine; wider
+/// specs go to `sat::incremental_cec`.
+inline constexpr unsigned sat_tier_simulation_max_pis = 12;
+
+/// Proves or refutes circuit-vs-AIG equivalence.  A spec with at most
+/// `sat_tier_simulation_max_pis` inputs is decided by one counter-order
+/// pass of the wide engine; a wider one through the incremental SAT
+/// equivalence engine (`qsyn::sat::incremental_cec` on the extracted
 /// circuit AIG: shared structural hashing, per-output miters under
 /// assumptions, simulation-guided fraiging).  Width-independent, unlike
 /// the exhaustive tier.
 ///
 /// **First-counterexample contract:** on inequivalence the returned
 /// assignment distinguishes circuit and spec at the *lowest-indexed*
-/// differing output (reported through `failing_output` when non-null); the
-/// assignment itself is solver-dependent but always real.  `nullopt` is a
-/// proof of equivalence.  This one-shot overload builds a private engine;
-/// prefer the engine overload inside sweeps.
+/// differing output (reported through `failing_output` when non-null).  On
+/// the simulation path it is the lowest counter-order assignment that
+/// distinguishes that output; on the engine path it is solver-dependent but
+/// always real.  `nullopt` is a proof of equivalence.  This one-shot
+/// overload builds a private engine; prefer the engine overload inside
+/// sweeps.
 std::optional<std::vector<bool>> verify_against_aig_sat( const reversible_circuit& circuit,
                                                          const aig_network& aig );
 
 /// As above, but on a caller-owned persistent engine, so successive checks
-/// of one design sweep share the spec encoding, fraig merges, and learned
-/// lemmas.  Thread-safe: the engine serializes concurrent calls
-/// internally.  `failing_output`, if non-null, receives the index of the
-/// lowest differing output when a counterexample is returned.
+/// of one wide design's sweep share the spec encoding, fraig merges, and
+/// learned lemmas (narrow checks leave the engine untouched).  Thread-safe:
+/// the engine serializes concurrent calls internally.  `failing_output`, if
+/// non-null, receives the index of the lowest differing output when a
+/// counterexample is returned.
 std::optional<std::vector<bool>> verify_against_aig_sat( const reversible_circuit& circuit,
                                                          const aig_network& aig,
                                                          sat::incremental_cec& engine,
@@ -174,9 +188,14 @@ struct sat_verify_outcome
   std::optional<unsigned> failing_output;
 };
 
-/// SAT tier under explicit limits (wall-clock deadline + conflict /
-/// propagation budgets, forwarded to `incremental_cec::check`).  With
-/// unlimited limits the verdict matches `verify_against_aig_sat` exactly.
+/// SAT tier under explicit limits.  The one place that decides how a
+/// check runs: a spec with at most `sat_tier_simulation_max_pis` inputs
+/// takes the exhaustive pass, which polls the deadline once per lane group
+/// and ignores the conflict / propagation budgets (it has no solver); a
+/// wider one is forwarded with all limits to `incremental_cec::check`.
+/// With unlimited limits the verdict matches `verify_against_aig_sat`
+/// exactly.  An interface mismatch throws `std::invalid_argument` on both
+/// paths.
 sat_verify_outcome verify_against_aig_sat_budgeted( const reversible_circuit& circuit,
                                                     const aig_network& aig,
                                                     sat::incremental_cec& engine,

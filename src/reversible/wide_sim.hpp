@@ -24,8 +24,8 @@
 ///
 /// Besides the per-circuit `wide_simulator` and the `wide_aig_simulator`
 /// (spec side), the header exposes `simd_and2_masked`, the dispatched
-/// two-fanin AND kernel the incremental CEC engine's exhaustive simulation
-/// pass runs on (sat/incremental.cpp).
+/// two-fanin AND kernel the incremental CEC engine's window proofs run on
+/// (sat/incremental.cpp).
 
 #pragma once
 
@@ -87,8 +87,8 @@ simd_backend active_simd_backend( sim_width width );
 
 /// dst[j] = (a[j] ^ invert_a) & (b[j] ^ invert_b) for j < num_words,
 /// dispatched to the widest available backend.  The inner operation of the
-/// AIG node walk; exported for the incremental CEC engine's exhaustive
-/// simulation pass, whose per-node pattern arrays use the same layout.
+/// AIG node walk; exported for the incremental CEC engine's window
+/// proofs, whose per-node pattern arrays use the same layout.
 void simd_and2_masked( std::uint64_t* dst, const std::uint64_t* a, std::uint64_t invert_a,
                        const std::uint64_t* b, std::uint64_t invert_b, std::size_t num_words );
 

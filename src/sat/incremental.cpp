@@ -1,7 +1,6 @@
 #include "incremental.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -238,150 +237,6 @@ std::vector<incremental_cec::ilit> incremental_cec::encode( const aig_network& a
   return outputs;
 }
 
-bool incremental_cec::try_full_simulation( unsigned num_pis,
-                                           const std::vector<ilit>& outputs_a,
-                                           const std::vector<ilit>& outputs_b,
-                                           cec_outcome& out )
-{
-  // Raw structural simulation (no class lookups): nodes_ is topologically
-  // ordered by construction, so one linear pass over the marked cone
-  // computes every node's word block.  Column c of the block carries
-  // input assignment x_i = (c >> i) & 1 — for i < 6 that is the canonical
-  // projection pattern within each word, for i >= 6 bit (i - 6) of the
-  // word index — so 2^pis columns cover all assignments exhaustively, and
-  // a differing column IS a real counterexample.  The block is sized to
-  // the cone (one word up to 6 PIs, 256 words at the 14-PI ceiling) and
-  // each node evaluates through the SIMD-wide AND kernel
-  // (`simd_and2_masked`), which is what lifts the historical 12-PI clamp:
-  // the wider blocks cost the same wall clock per word as the scalar loop
-  // did at 64 words.
-  if ( num_pis > 14u )
-  {
-    return false;
-  }
-  const unsigned words_per_node = num_blocks_for( num_pis );
-
-  // Mark the union cone of all output pairs, assigning each marked node a
-  // compact arena slot — the persistent store grows across a sweep's
-  // checks, so the arena must be sized by the cone, not the store.
-  constexpr auto unmarked = ~std::uint32_t{ 0 };
-  std::vector<std::uint32_t> slot( nodes_.size(), unmarked );
-  std::vector<std::uint32_t> stack;
-  std::uint32_t num_marked = 0;
-  const auto mark = [&]( ilit l ) {
-    if ( slot[l >> 1] == unmarked )
-    {
-      stack.push_back( l >> 1 );
-      slot[l >> 1] = num_marked++;
-    }
-  };
-  for ( const auto l : outputs_a )
-  {
-    mark( l );
-  }
-  for ( const auto l : outputs_b )
-  {
-    mark( l );
-  }
-  while ( !stack.empty() )
-  {
-    const auto n = stack.back();
-    stack.pop_back();
-    if ( nodes_[n].fanin0 >= 2u )
-    {
-      mark( nodes_[n].fanin0 );
-      mark( nodes_[n].fanin1 );
-    }
-  }
-
-  std::vector<std::uint64_t> blocks(
-      static_cast<std::size_t>( num_marked ) * words_per_node, 0u );
-  const auto block_of = [&]( std::uint32_t n ) {
-    return blocks.data() + static_cast<std::size_t>( slot[n] ) * words_per_node;
-  };
-  for ( std::size_t i = 0; i < pi_nodes_.size() && i < 14u; ++i )
-  {
-    if ( slot[pi_nodes_[i]] == unmarked )
-    {
-      continue; // PI outside the cone (e.g. of another check's design)
-    }
-    auto* block = block_of( pi_nodes_[i] );
-    for ( unsigned j = 0; j < words_per_node; ++j )
-    {
-      block[j] = i < 6u ? projections[i]
-                        : ( ( ( j >> ( i - 6u ) ) & 1u ) ? ~std::uint64_t{ 0 } : 0u );
-    }
-  }
-  for ( std::uint32_t n = 1; n < nodes_.size(); ++n )
-  {
-    if ( slot[n] == unmarked || nodes_[n].fanin0 < 2u )
-    {
-      continue; // unmarked, PI, or constant
-    }
-    const auto f0 = nodes_[n].fanin0;
-    const auto f1 = nodes_[n].fanin1;
-    const auto* b0 = block_of( f0 >> 1 );
-    const auto* b1 = block_of( f1 >> 1 );
-    auto* bn = block_of( n );
-    const std::uint64_t m0 = ( f0 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    const std::uint64_t m1 = ( f1 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    simd_and2_masked( bn, b0, m0, b1, m1, words_per_node );
-  }
-
-  out.equivalent = true;
-  for ( unsigned o = 0; o < outputs_a.size(); ++o )
-  {
-    const auto la = outputs_a[o];
-    const auto lb = outputs_b[o];
-    const auto* ba = block_of( la >> 1 );
-    const auto* bb = block_of( lb >> 1 );
-    const std::uint64_t ma = ( la & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    const std::uint64_t mb = ( lb & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    std::optional<unsigned> diff_word;
-    for ( unsigned j = 0; j < words_per_node; ++j )
-    {
-      if ( ( ba[j] ^ ma ) != ( bb[j] ^ mb ) )
-      {
-        diff_word = j;
-        break;
-      }
-    }
-    if ( !diff_word )
-    {
-      // Exhaustively proven equal: keep as a permanent equality so later
-      // checks resolve this pair structurally.
-      const auto ea = find( la );
-      const auto eb = find( lb );
-      if ( ea != eb )
-      {
-        assert_equal( ea, eb );
-        if ( ( ea >> 1 ) != ( eb >> 1 ) )
-        {
-          merge( ea, eb );
-        }
-      }
-      ++stats_.structural_outputs;
-      continue;
-    }
-    // Lowest differing column of the lowest differing output: a real,
-    // deterministic counterexample.
-    const auto j = *diff_word;
-    const auto diff_bits = ( ba[j] ^ ma ) ^ ( bb[j] ^ mb );
-    const auto bit = static_cast<unsigned>( std::countr_zero( diff_bits ) );
-    const auto column = j * 64u + bit;
-    out.equivalent = false;
-    out.failing_output = o;
-    std::vector<bool> cex( num_pis );
-    for ( unsigned i = 0; i < num_pis; ++i )
-    {
-      cex[i] = ( column >> i ) & 1u;
-    }
-    out.counterexample = std::move( cex );
-    return true;
-  }
-  return true;
-}
-
 result incremental_cec::prove_equal( ilit a, ilit b, std::uint64_t conflict_budget,
                                      std::uint64_t decision_budget )
 {
@@ -450,10 +305,9 @@ bool incremental_cec::window_proves_equal( ilit a, ilit b, unsigned depth_cap,
   // Equal output blocks are an exhaustive proof *within the window*, and
   // the frontier being free makes that proof sound globally.  Cheap (no
   // solver contact) and never refuting: an unequal block only means the
-  // window was too coarse.  With uncapped expansion and <= 12 PIs the
-  // frontier IS the input cube and the window is a complete equivalence
-  // proof of the pair — that is how the output miters of narrow designs
-  // are discharged without the solver (see `check()`).
+  // window was too coarse.  Both callers cap the expansion with the fraig
+  // window options: `run_fraig` on signature candidates, `check()` on each
+  // output pair before any miter is built.
   //
   // Iterative post-order walk: output cones can be tens of thousands of
   // nodes deep (XOR chains of a reversible target line), so recursion is
@@ -737,14 +591,7 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
   const auto outputs_a = encode( a );
   const auto outputs_b = encode( b );
   const auto fresh_nodes = nodes_.size() - nodes_before;
-  // Narrow designs are decided wholesale by the bit-parallel simulation
-  // pass below; fraig hints only pay off when the solver will run.  The
-  // 14-PI clamp is the capacity of `try_full_simulation`'s SIMD-wide
-  // blocks — values above it in the option must not widen the gate (the
-  // sim pass would bail and the check would fall through undecided).
-  const bool narrow =
-      a.num_pis() <= std::min( options_.output_window_max_pis, 14u );
-  if ( options_.fraiging && !narrow )
+  if ( options_.fraiging )
   {
     run_fraig();
   }
@@ -786,31 +633,6 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
     ilit ea;
     ilit eb;
   };
-  // Narrow designs (pis <= output_window_max_pis): when the structural
-  // pre-scan leaves anything open, one bit-parallel simulation pass over
-  // the raw cones decides every output at once, without the solver — see
-  // try_full_simulation.  Warm re-checks of already-proven pairs stay on
-  // the pre-scan (the sim pass recorded its proofs as merges).
-  if ( narrow )
-  {
-    bool all_structural = true;
-    for ( unsigned o = 0; o < a.num_pos() && all_structural; ++o )
-    {
-      all_structural = find( outputs_a[o] ) == find( outputs_b[o] );
-    }
-    if ( all_structural )
-    {
-      stats_.structural_outputs += a.num_pos();
-      stats_.solver_conflicts = solver_.num_conflicts();
-      return out; // equivalent
-    }
-    const auto decided = try_full_simulation( a.num_pis(), outputs_a, outputs_b, out );
-    assert( decided );
-    (void)decided;
-    stats_.solver_conflicts = solver_.num_conflicts();
-    return out;
-  }
-
   std::vector<pending_output> unresolved;
   // Lowest output already KNOWN to differ (a budgeted attempt found a
   // model); lower-indexed unresolved outputs still have to be decided

@@ -38,14 +38,14 @@
 ///
 /// `check()` reports the *lowest-indexed* differing output
 /// (`failing_output`) together with one input assignment on which the two
-/// AIGs differ at that output.  On the narrow-design simulation path the
-/// assignment is deterministic (the lowest distinguishing input column);
-/// on the solver path it is engine-dependent — but it is always real: it
-/// is extracted from an exhaustive simulation column or from the model of
-/// the failing per-output miter, and tests/test_sat.cpp round-trips it
-/// through both networks.  When the networks are equivalent, `check()` is
-/// a proof (exhaustive simulation, UNSAT of every per-output miter, or
-/// structural identity).
+/// AIGs differ at that output.  The assignment is engine-dependent but
+/// always real: it is the model of the failing per-output miter, and
+/// tests/test_sat.cpp round-trips it through both networks.  When the
+/// networks are equivalent, `check()` is a proof (structural identity, a
+/// window proof, or UNSAT of every per-output or batched miter).  The SAT
+/// tier of the verifier (reversible/verify.hpp) decides narrow designs by
+/// exhaustive simulation before they reach this engine, so the engine
+/// itself has one path: structural scan, fraig, then miters.
 ///
 /// ## Thread safety
 ///
@@ -94,15 +94,6 @@ struct cec_options
   /// Upper bound on fraig candidates examined per `check()` (bounds the
   /// hint overhead; surplus candidates stay queued for later checks).
   std::size_t max_fraig_candidates = 2048;
-  /// Discharge output miters of designs with at most this many primary
-  /// inputs by an exhaustive bit-parallel simulation pass over the union
-  /// cone (`try_full_simulation`): SIMD-wide blocks sized to 2^pis
-  /// enumerate every assignment, and all output pairs are proven or
-  /// refuted at once without the solver.  14 is the hard ceiling (256
-  /// words per node) and larger values are clamped to it; the default
-  /// stays 12 — the historical gate — so raising to 13/14 is an explicit
-  /// opt-in; lower it to force the solver path, e.g. in tests.
-  unsigned output_window_max_pis = 12;
   /// Restrict solver decisions to primary-input (and miter-auxiliary)
   /// variables.  Sound either way (Tseitin cones propagate completely
   /// from their inputs); off by default — on the wide hierarchical miters
@@ -238,20 +229,8 @@ private:
   /// Exhaustive 64-way window proof: evaluates both cones over the free
   /// values of at most twelve frontier equivalence classes (projection
   /// patterns, word-parallel).  true => a == b (sound; never refutes).
-  /// `depth_cap` / `node_cap` bound the expansion: small caps make a cheap
-  /// fraig hint, unbounded caps on a <= 12-PI design make the window an
-  /// exhaustive proof of the whole output pair.
+  /// `depth_cap` / `node_cap` bound the expansion.
   bool window_proves_equal( ilit a, ilit b, unsigned depth_cap, std::size_t node_cap );
-  /// Narrow-design fast path: one linear, bit-parallel simulation pass over
-  /// the raw output cones enumerates all 2^pis <= 16384 input assignments
-  /// (up to 256 words of projection patterns per node, evaluated through
-  /// the SIMD-wide AND kernel) and decides EVERY output
-  /// pair of the check at once — proofs are recorded as permanent
-  /// equalities, a difference yields the lowest-indexed failing output and
-  /// its lowest distinguishing input column as the counterexample.
-  /// Returns true if the outcome was decided (always, when pis fits).
-  bool try_full_simulation( unsigned num_pis, const std::vector<ilit>& outputs_a,
-                            const std::vector<ilit>& outputs_b, cec_outcome& out );
 
   cec_options options_;
   solver solver_;

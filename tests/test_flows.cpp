@@ -331,26 +331,35 @@ TEST( flows, cut_size_is_a_flow_param_and_cache_axis )
 
 TEST( flows, sat_tier_reuses_one_engine_across_a_sweep )
 {
-  // Every sat-mode verification of a cache-sharing sweep goes through the
-  // cache's persistent incremental engine; verdicts must match the
-  // one-shot path and the engine must have seen every check.
-  const auto mod =
-      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 4 ) );
-  flow_artifact_cache cache;
-  std::size_t configs_run = 0;
-  for ( const auto cleanup :
-        { cleanup_strategy::keep_garbage, cleanup_strategy::bennett, cleanup_strategy::eager } )
-  {
-    flow_params params;
-    params.kind = flow_kind::hierarchical;
-    params.cleanup = cleanup;
-    params.verification = verify_mode::sat;
-    const auto result = run_flow_staged( mod.aig, params, cache );
-    EXPECT_TRUE( result.verified );
-    EXPECT_EQ( result.verified_with, verify_mode::sat );
-    ++configs_run;
-  }
-  EXPECT_EQ( cache.sat_engine().stats().checks, configs_run );
+  // Narrow designs (<= sat_tier_simulation_max_pis inputs) are proved by
+  // the SAT tier's exhaustive pass and never consult the cache's engine;
+  // every sat-mode check of a wider design goes through the cache's one
+  // persistent incremental engine.
+  const auto sweep = []( unsigned n, flow_kind kind,
+                         std::initializer_list<cleanup_strategy> cleanups ) {
+    const auto mod =
+        verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, n ) );
+    flow_artifact_cache cache;
+    for ( const auto cleanup : cleanups )
+    {
+      flow_params params;
+      params.kind = kind;
+      params.cleanup = cleanup;
+      params.verification = verify_mode::sat;
+      const auto result = run_flow_staged( mod.aig, params, cache );
+      EXPECT_TRUE( result.verified ) << n;
+      EXPECT_EQ( result.verified_with, verify_mode::sat ) << n;
+    }
+    return cache.sat_engine().stats().checks;
+  };
+  EXPECT_EQ( sweep( 4, flow_kind::hierarchical,
+                    { cleanup_strategy::keep_garbage, cleanup_strategy::bennett,
+                      cleanup_strategy::eager } ),
+             0u );
+  static_assert( sat_tier_simulation_max_pis < 13u );
+  EXPECT_EQ( sweep( 13, flow_kind::esop_based,
+                    { cleanup_strategy::keep_garbage, cleanup_strategy::bennett } ),
+             2u );
 }
 
 TEST( flows, cut_size_below_two_is_rejected )

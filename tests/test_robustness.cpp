@@ -237,7 +237,6 @@ TEST( robustness_incremental, budget_exhaustion_reports_unresolved )
 
   sat::cec_options options;
   options.fraiging = false;
-  options.output_window_max_pis = 0; // no uncapped narrow-design window
   options.fraig_window_depth = 0;    // no per-output window hint either
   options.fraig_window_nodes = 0;
   sat::incremental_cec engine( options );

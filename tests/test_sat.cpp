@@ -410,49 +410,28 @@ void expect_matches_brute_force( const sat::cec_outcome& outcome, const aig_netw
 
 } // namespace
 
-TEST( incremental, matches_brute_force_simulation_path )
-{
-  // Narrow designs are decided by the engine's exhaustive bit-parallel
-  // simulation pass; every verdict, failing-output index, and
-  // counterexample must match brute force.
-  std::mt19937_64 rng( 11 );
-  for ( int instance = 0; instance < 60; ++instance )
-  {
-    const unsigned num_pis = 3u + rng() % 4u;
-    const unsigned num_pos = 1u + rng() % 4u;
-    const auto a = random_test_aig( rng(), num_pis, num_pos );
-    auto b = ( instance % 3 == 0 ) ? random_test_aig( rng(), num_pis, num_pos ) : a;
-    if ( instance % 3 == 1 )
-    {
-      b.set_po( static_cast<unsigned>( rng() % num_pos ), b.po( 0 ) ^ 1u );
-    }
-    sat::incremental_cec engine;
-    const auto outcome = engine.check( a, b );
-    expect_matches_brute_force( outcome, a, b, "sim path" );
-  }
-}
-
 TEST( incremental, matches_brute_force_solver_path )
 {
-  // Forcing output_window_max_pis = 0 disables the simulation fast path,
-  // so every output goes through per-output/batched miters on the
-  // persistent solver — same contract, same expected results.
-  std::mt19937_64 rng( 23 );
-  for ( int instance = 0; instance < 60; ++instance )
+  // Every output goes through the structural scan, fraig and the
+  // per-output/batched miters on the persistent solver; every verdict,
+  // failing-output index, and counterexample must match brute force.
+  for ( const std::uint64_t seed : { 11u, 23u } )
   {
-    const unsigned num_pis = 3u + rng() % 4u;
-    const unsigned num_pos = 1u + rng() % 4u;
-    const auto a = random_test_aig( rng(), num_pis, num_pos );
-    auto b = ( instance % 3 == 0 ) ? random_test_aig( rng(), num_pis, num_pos ) : a;
-    if ( instance % 3 == 1 )
+    std::mt19937_64 rng( seed );
+    for ( int instance = 0; instance < 60; ++instance )
     {
-      b.set_po( static_cast<unsigned>( rng() % num_pos ), b.po( 0 ) ^ 1u );
+      const unsigned num_pis = 3u + rng() % 4u;
+      const unsigned num_pos = 1u + rng() % 4u;
+      const auto a = random_test_aig( rng(), num_pis, num_pos );
+      auto b = ( instance % 3 == 0 ) ? random_test_aig( rng(), num_pis, num_pos ) : a;
+      if ( instance % 3 == 1 )
+      {
+        b.set_po( static_cast<unsigned>( rng() % num_pos ), b.po( 0 ) ^ 1u );
+      }
+      sat::incremental_cec engine;
+      const auto outcome = engine.check( a, b );
+      expect_matches_brute_force( outcome, a, b, "solver path" );
     }
-    sat::cec_options options;
-    options.output_window_max_pis = 0;
-    sat::incremental_cec engine( options );
-    const auto outcome = engine.check( a, b );
-    expect_matches_brute_force( outcome, a, b, "solver path" );
   }
 }
 
@@ -462,30 +441,25 @@ TEST( incremental, engine_reuse_matches_fresh_engines )
   // learned lemmas, merges) must give exactly the verdicts of a fresh
   // engine per call.
   std::mt19937_64 rng( 37 );
-  for ( const unsigned max_pis : { 0u, 12u } ) // solver path and sim path
+  sat::incremental_cec persistent;
+  for ( int round = 0; round < 8; ++round )
   {
-    sat::cec_options options;
-    options.output_window_max_pis = max_pis;
-    sat::incremental_cec persistent( options );
-    for ( int round = 0; round < 8; ++round )
+    const unsigned num_pis = 4u + rng() % 3u;
+    const unsigned num_pos = 1u + rng() % 3u;
+    const auto a = random_test_aig( rng(), num_pis, num_pos, 16 );
+    auto b = ( round & 1 ) ? random_test_aig( rng(), num_pis, num_pos, 16 ) : a;
+    if ( round % 4 == 2 )
     {
-      const unsigned num_pis = 4u + rng() % 3u;
-      const unsigned num_pos = 1u + rng() % 3u;
-      const auto a = random_test_aig( rng(), num_pis, num_pos, 16 );
-      auto b = ( round & 1 ) ? random_test_aig( rng(), num_pis, num_pos, 16 ) : a;
-      if ( round % 4 == 2 )
-      {
-        b.set_po( 0, b.po( 0 ) ^ 1u );
-      }
-      const auto reused = persistent.check( a, b );
-      sat::incremental_cec fresh( options );
-      const auto baseline = fresh.check( a, b );
-      EXPECT_EQ( reused.equivalent, baseline.equivalent ) << "round " << round;
-      EXPECT_EQ( reused.failing_output, baseline.failing_output ) << "round " << round;
-      expect_matches_brute_force( reused, a, b, "reused engine" );
+      b.set_po( 0, b.po( 0 ) ^ 1u );
     }
-    EXPECT_GE( persistent.stats().checks, 8u );
+    const auto reused = persistent.check( a, b );
+    sat::incremental_cec fresh;
+    const auto baseline = fresh.check( a, b );
+    EXPECT_EQ( reused.equivalent, baseline.equivalent ) << "round " << round;
+    EXPECT_EQ( reused.failing_output, baseline.failing_output ) << "round " << round;
+    expect_matches_brute_force( reused, a, b, "reused engine" );
   }
+  EXPECT_GE( persistent.stats().checks, 8u );
 }
 
 TEST( incremental, clause_deletion_on_off_agreement )
@@ -495,7 +469,6 @@ TEST( incremental, clause_deletion_on_off_agreement )
   // miters must match the deletion-free engine exactly.
   std::mt19937_64 rng( 51 );
   sat::cec_options with_deletion;
-  with_deletion.output_window_max_pis = 0; // force the solver path
   with_deletion.clause_deletion = true;
   with_deletion.reduce_base = 8; // reduce constantly on these small miters
   sat::cec_options without_deletion = with_deletion;
@@ -526,26 +499,22 @@ TEST( incremental, option_variants_agree )
   std::vector<sat::cec_options> variants;
   {
     sat::cec_options o;
-    o.output_window_max_pis = 0;
     o.fraiging = false;
     variants.push_back( o );
   }
   {
     sat::cec_options o;
-    o.output_window_max_pis = 0;
     o.fraig_conflict_budget = 50; // SAT-backed fraig + cex refinement
     o.num_sig_words = 1;          // provoke false candidates -> refinement
     variants.push_back( o );
   }
   {
     sat::cec_options o;
-    o.output_window_max_pis = 0;
     o.decide_inputs_only = true;
     variants.push_back( o );
   }
   {
     sat::cec_options o;
-    o.output_window_max_pis = 0;
     o.per_output_node_threshold = 0; // per-output miters first
     variants.push_back( o );
   }
@@ -593,17 +562,16 @@ TEST( incremental, mixed_interface_sizes_on_one_engine )
   expect_matches_brute_force( engine.check( small_a, small_a ), small_a, small_a, "repeat" );
 }
 
-// --- signature quality and the widened simulation pass -----------------------
+// --- signature quality -------------------------------------------------------
 //
-// Satellite of the SIMD-wide engine: fraig signature words are the same
-// 64-bit pattern blocks the wide simulator batches, so their
-// discrimination quality (false-candidate rate), the refinement loop, and
-// the widened exhaustive pass are pinned here at several widths.
+// Fraig signature words are the same 64-bit pattern blocks the wide
+// simulator batches, so their discrimination quality (false-candidate
+// rate) and the refinement loop are pinned here at several widths.
 
 namespace
 {
 
-/// Runs the same deterministic >12-PI instance sequence through one
+/// Runs the same deterministic 13-PI instance sequence through one
 /// persistent engine configured with `num_sig_words` signature words and
 /// returns the engine's cumulative statistics.  Verdicts are checked
 /// against brute force on every instance, so any width that changed a
@@ -617,7 +585,7 @@ sat::cec_stats run_fraig_sequence( unsigned num_sig_words )
   std::mt19937_64 rng( 9001 ); // same instances at every width
   for ( int instance = 0; instance < 6; ++instance )
   {
-    const unsigned num_pis = 13; // > 12: the sim fast path bails, fraig runs
+    const unsigned num_pis = 13;
     const unsigned num_pos = 2u + rng() % 2u;
     const auto a = random_test_aig( rng(), num_pis, num_pos, 40 );
     auto b = ( instance & 1 ) ? random_test_aig( rng(), num_pis, num_pos, 40 ) : a;
@@ -738,34 +706,5 @@ TEST( incremental_signatures, engine_reuse_verdicts_pinned_across_widths )
             << "round " << round << " engine " << e;
       }
     }
-  }
-}
-
-TEST( incremental_signatures, widened_simulation_pass_decides_13_and_14_pi_designs )
-{
-  // Opting `output_window_max_pis` up to 14 routes 13- and 14-PI checks
-  // through the widened exhaustive simulation pass (SIMD-wide blocks, no
-  // solver): verdicts, failing outputs, and counterexamples must match
-  // brute force, and the solver must never have been consulted.
-  for ( const unsigned num_pis : { 13u, 14u } )
-  {
-    sat::cec_options options;
-    options.output_window_max_pis = 14;
-    sat::incremental_cec engine( options );
-    std::mt19937_64 rng( 1000 + num_pis );
-    for ( int instance = 0; instance < 4; ++instance )
-    {
-      const unsigned num_pos = 1u + rng() % 3u;
-      const auto a = random_test_aig( rng(), num_pis, num_pos, 30 );
-      auto b = ( instance & 1 ) ? random_test_aig( rng(), num_pis, num_pos, 30 ) : a;
-      if ( instance == 2 )
-      {
-        b.set_po( 0, b.po( 0 ) ^ 1u );
-      }
-      const auto outcome = engine.check( a, b );
-      expect_matches_brute_force( outcome, a, b, "widened sim pass" );
-    }
-    EXPECT_EQ( engine.stats().solver_conflicts, 0u ) << num_pis;
-    EXPECT_EQ( engine.stats().sat_proven_outputs, 0u ) << num_pis;
   }
 }

@@ -7,14 +7,19 @@
 #include <algorithm>
 #include <optional>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/bits.hpp"
+#include "core/flows.hpp"
 #include "logic/aig.hpp"
 #include "reversible/circuit.hpp"
 #include "reversible/verify.hpp"
+#include "sat/incremental.hpp"
+#include "synth/aig_optimize.hpp"
+#include "verilog/elaborator.hpp"
 
 using namespace qsyn;
 
@@ -485,6 +490,184 @@ TEST( verify_sat, interface_mismatch_throws )
   aig_network aig( 3 );
   aig.add_po( aig.pi( 0 ) );
   EXPECT_THROW( verify_against_aig_sat( circuit, aig ), std::invalid_argument );
+}
+
+namespace
+{
+
+/// Appends `count` random MCT gates (up to three controls of random
+/// polarity) to a copy of `circuit`: a same-interface variant whose outputs
+/// differ from the original's at scattered outputs and columns.
+reversible_circuit with_random_gates( reversible_circuit circuit, std::mt19937_64& rng,
+                                      unsigned count )
+{
+  const auto num_lines = circuit.num_lines();
+  for ( unsigned g = 0; g < count; ++g )
+  {
+    const auto target = static_cast<std::uint32_t>( rng() % num_lines );
+    control_list controls;
+    for ( unsigned c = rng() % 4u; c > 0u; --c )
+    {
+      const auto line = static_cast<std::uint32_t>( rng() % num_lines );
+      const bool taken = std::any_of( controls.begin(), controls.end(),
+                                      [line]( const control& x ) { return x.line == line; } );
+      if ( line != target && !taken )
+      {
+        controls.push_back( { line, static_cast<bool>( rng() & 1u ) } );
+      }
+    }
+    circuit.add_mct( controls, target );
+  }
+  return circuit;
+}
+
+/// Scalar reference of the SAT tier's narrow counterexample: the lowest
+/// output on which circuit and spec ever differ, and the lowest
+/// counter-order assignment distinguishing that output (nullopt when they
+/// are equivalent).
+std::optional<std::pair<unsigned, std::vector<bool>>>
+lowest_output_counterexample( const reversible_circuit& circuit, const aig_network& spec )
+{
+  const auto n = spec.num_pis();
+  std::vector<std::vector<bool>> got;
+  std::vector<std::vector<bool>> want;
+  for ( std::uint64_t x = 0; x < ( std::uint64_t{ 1 } << n ); ++x )
+  {
+    got.push_back( evaluate_circuit( circuit, counter_assignment( x, n ) ) );
+    want.push_back( spec.evaluate( counter_assignment( x, n ) ) );
+  }
+  for ( unsigned o = 0; o < spec.num_pos(); ++o )
+  {
+    for ( std::uint64_t x = 0; x < got.size(); ++x )
+    {
+      if ( got[x][o] != want[x][o] )
+      {
+        return std::make_pair( o, counter_assignment( x, n ) );
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+} // namespace
+
+TEST( verify_sat, narrow_counterexample_is_the_lowest_column_of_the_lowest_failing_output )
+{
+  // Pins the SAT tier's narrow-design counterexample bit for bit against
+  // the scalar oracle: random circuits against random same-interface
+  // variants, and single-retarget corruptions of synthesized INTDIV/NEWTON
+  // circuits.
+  std::vector<std::pair<reversible_circuit, aig_network>> cases;
+  std::mt19937_64 rng( 2718 );
+  for ( int instance = 0; instance < 60; ++instance )
+  {
+    const unsigned num_inputs = 1u + rng() % 9u;
+    const auto circuit = random_circuit( rng, num_inputs + 1u + rng() % 4u, 25u, num_inputs );
+    const auto variant = with_random_gates( circuit, rng, 1u + rng() % 4u );
+    cases.emplace_back( circuit, circuit_to_aig( variant ) );
+  }
+  for ( const auto design : { reciprocal_design::intdiv, reciprocal_design::newton } )
+  {
+    for ( const unsigned n : { 5u, 8u } )
+    {
+      for ( const auto kind : { flow_kind::esop_based, flow_kind::hierarchical } )
+      {
+        const auto mod = verilog::elaborate_verilog( reciprocal_verilog( design, n ) );
+        flow_params params;
+        params.kind = kind;
+        params.verify = false;
+        const auto flow = run_flow_on_aig( mod.aig, params );
+        const auto spec = optimize( mod.aig, params.optimization_rounds );
+        cases.emplace_back( flow.circuit, spec );
+        cases.emplace_back( corrupt_circuit( flow.circuit, spec ), spec );
+      }
+    }
+  }
+  sat::incremental_cec engine;
+  std::size_t refuted = 0;
+  std::set<unsigned> failing_outputs;
+  std::size_t nonzero_columns = 0;
+  for ( std::size_t c = 0; c < cases.size(); ++c )
+  {
+    const auto& [circuit, spec] = cases[c];
+    ASSERT_LE( spec.num_pis(), sat_tier_simulation_max_pis ) << c;
+    const auto expected = lowest_output_counterexample( circuit, spec );
+    unsigned failing_output = ~0u;
+    const auto cex = verify_against_aig_sat( circuit, spec, engine, &failing_output );
+    ASSERT_EQ( cex.has_value(), expected.has_value() ) << "case " << c;
+    if ( expected )
+    {
+      ++refuted;
+      failing_outputs.insert( expected->first );
+      nonzero_columns += std::count( expected->second.begin(), expected->second.end(), true ) > 0;
+      EXPECT_EQ( failing_output, expected->first ) << "case " << c;
+      EXPECT_EQ( *cex, expected->second ) << "case " << c;
+    }
+  }
+  // Enough refutations, at more than one output and past column 0, to pin
+  // the ordering.
+  EXPECT_GE( refuted, 20u );
+  EXPECT_GE( failing_outputs.size(), 3u );
+  EXPECT_GE( nonzero_columns, 10u );
+}
+
+TEST( verify_sat, narrow_check_honours_an_expired_deadline )
+{
+  // A narrow check polls its deadline once per lane group: an expired one
+  // leaves it unresolved (so the flow's downgrade ladder applies) without
+  // encoding anything into the engine.
+  std::mt19937_64 rng( 5 );
+  const auto circuit = random_circuit( rng, 15u, 60u, sat_tier_simulation_max_pis );
+  const auto spec = circuit_to_aig( circuit );
+  sat::incremental_cec engine;
+  cancellation_token token;
+  token.request_cancel();
+  sat::check_limits limits;
+  limits.stop = deadline::with_token( token );
+  const auto outcome = verify_against_aig_sat_budgeted( circuit, spec, engine, limits );
+  EXPECT_FALSE( outcome.resolved );
+  EXPECT_FALSE( outcome.counterexample.has_value() );
+  EXPECT_EQ( engine.stats().checks, 0u );
+
+  const auto settled = verify_against_aig_sat_budgeted( circuit, spec, engine, sat::check_limits{} );
+  EXPECT_TRUE( settled.resolved );
+  EXPECT_TRUE( settled.equivalent );
+  EXPECT_EQ( engine.stats().checks, 0u );
+}
+
+TEST( verify_sat, wide_designs_reach_the_engine_with_the_exhaustive_verdict )
+{
+  // Above the simulation boundary the SAT tier extracts the circuit and
+  // checks it on the caller's engine; its verdict must equal the
+  // exhaustive tier's, its counterexample must be real, and a repeated
+  // check must reuse the encoding (no new union nodes).
+  const unsigned num_inputs = sat_tier_simulation_max_pis + 1u;
+  std::mt19937_64 rng( 1313 );
+  sat::incremental_cec engine;
+  std::size_t calls = 0;
+  const auto check = [&]( const reversible_circuit& circuit, const aig_network& spec ) {
+    unsigned failing_output = ~0u;
+    const auto cex = verify_against_aig_sat( circuit, spec, engine, &failing_output );
+    EXPECT_EQ( engine.stats().checks, ++calls );
+    EXPECT_EQ( cex.has_value(), verify_against_aig_exhaustive( circuit, spec ).has_value() );
+    if ( cex )
+    {
+      EXPECT_NE( evaluate_circuit( circuit, *cex )[failing_output],
+                 spec.evaluate( *cex )[failing_output] );
+    }
+    return cex.has_value();
+  };
+  for ( int instance = 0; instance < 3; ++instance )
+  {
+    const auto circuit = random_circuit( rng, num_inputs + 2u, 30u, num_inputs );
+    const auto spec = circuit_to_aig( circuit );
+    EXPECT_FALSE( check( circuit, spec ) ) << instance;
+    EXPECT_TRUE( check( corrupt_circuit( circuit, spec ), spec ) ) << instance;
+    (void)check( circuit, circuit_to_aig( with_random_gates( circuit, rng, 2u ) ) );
+    const auto nodes = engine.stats().nodes;
+    EXPECT_FALSE( check( circuit, spec ) ) << instance;
+    EXPECT_EQ( engine.stats().nodes, nodes ) << instance;
+  }
 }
 
 // --- verification tiers vs. the scalar oracle -------------------------------
