@@ -49,10 +49,11 @@
 #     hierarchical case below its 10x floor,
 #   * docs/ARCHITECTURE.md is missing or no longer mentions every src/*
 #     subdirectory.
-# Finally reruns the verification + store test suites under
+# Finally reruns the verification + store + synthesis test suites under
 # AddressSanitizer (QSYN_SANITIZE=address) — the wide engine is all raw
-# lane-group indexing and the store parses untrusted on-disk bytes — the
-# verification + robustness + scheduler + store + daemon suites under
+# lane-group indexing, the store parses untrusted on-disk bytes and the
+# ISOP/refactor kernels index fixed-size word arrays — the verification +
+# robustness + scheduler + store + daemon + synthesis suites under
 # UndefinedBehaviorSanitizer (float-cast-overflow included), and the
 # robustness + scheduler + daemon + store suites under ThreadSanitizer
 # (the daemon coalesces concurrent requests on a shared pool; the artifact
@@ -645,7 +646,8 @@ ASAN_DIR="$REPO_ROOT/build-asan-verify"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address \
   -DQSYN_SIMD=native
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
-  --target test_verify test_store test_truth_table test_lut_xmg test_reversible test_daemon
+  --target test_verify test_store test_truth_table test_lut_xmg test_reversible test_daemon \
+  test_synth
 "$ASAN_DIR/tests/test_verify"
 # The artifact store is raw byte-level (de)serialization of attacker-ish
 # input (any on-disk file): run its suite instrumented too.
@@ -656,12 +658,15 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" \
 "$ASAN_DIR/tests/test_truth_table"
 "$ASAN_DIR/tests/test_lut_xmg"
 "$ASAN_DIR/tests/test_reversible"
+# The word-level ISOP kernel and the refactorer index fixed-size word and
+# leaf arrays and epoch-stamped per-node scratch (the golden pins included).
+"$ASAN_DIR/tests/test_synth"
 # qsynd's request parser and request path (admission bounds, outcome
 # cells shared across connection threads) take raw client input.
 "$ASAN_DIR/tests/test_daemon"
 echo
 echo "test_verify + test_store + test_truth_table + test_lut_xmg + test_reversible" \
-     "+ test_daemon OK under AddressSanitizer"
+     "+ test_daemon + test_synth OK under AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
 # The budget/cancellation/fault-injection paths are counter arithmetic,
@@ -674,7 +679,7 @@ cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE
   -DQSYN_SIMD=native
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
   --target test_robustness test_scheduler test_store test_verify test_truth_table \
-  test_lut_xmg test_reversible test_daemon
+  test_lut_xmg test_reversible test_daemon test_synth
 "$UBSAN_DIR/tests/test_robustness"
 "$UBSAN_DIR/tests/test_scheduler"
 # The store headers round-trip enums and fixed-width counters from
@@ -689,12 +694,16 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 "$UBSAN_DIR/tests/test_truth_table"
 "$UBSAN_DIR/tests/test_lut_xmg"
 "$UBSAN_DIR/tests/test_reversible"
+# The ISOP kernel's cofactors and replication are shifts by 2^var on
+# 64-bit words.
+"$UBSAN_DIR/tests/test_synth"
 # Request fields become deadlines and budgets: the float-cast-overflow
 # check sees a number too large for the clock before it reaches one.
 "$UBSAN_DIR/tests/test_daemon"
 echo
 echo "test_robustness + test_scheduler + test_store + test_verify + test_truth_table" \
-     "+ test_lut_xmg + test_reversible + test_daemon OK under UndefinedBehaviorSanitizer"
+     "+ test_lut_xmg + test_reversible + test_daemon + test_synth OK under" \
+     "UndefinedBehaviorSanitizer"
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread

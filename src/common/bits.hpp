@@ -33,6 +33,38 @@ inline constexpr std::uint64_t projections[6] = {
     0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
     0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull };
 
+/// True if the function held in `num_blocks` 64-bit blocks (LSB first)
+/// depends on variable `var`.  Below 6 variables the single block may be
+/// zero-padded or replicated: only bit pairs inside the table are compared.
+inline bool blocks_depend_on( const std::uint64_t* blocks, std::size_t num_blocks, unsigned var )
+{
+  if ( var < 6u )
+  {
+    // Bit p (with index bit `var` clear) differs from bit p + 2^var iff
+    // (b ^ (b >> 2^var)) is set at p.
+    const unsigned shift = 1u << var;
+    for ( std::size_t i = 0; i < num_blocks; ++i )
+    {
+      if ( ( ( blocks[i] ^ ( blocks[i] >> shift ) ) & ~projections[var] ) != 0u )
+      {
+        return true;
+      }
+    }
+    return false;
+  }
+  // The variable lives across blocks: compare block i against block
+  // i + period for every i whose period bit is clear.
+  const std::size_t period = std::size_t{ 1 } << ( var - 6u );
+  for ( std::size_t i = 0; i < num_blocks; ++i )
+  {
+    if ( ( i & period ) == 0u && blocks[i] != blocks[i + period] )
+    {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Population count over a 64-bit word.
 inline int popcount64( std::uint64_t w )
 {

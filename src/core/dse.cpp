@@ -91,6 +91,7 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
     private_cache.attach_store( options.store );
     cache = &private_cache;
   }
+  const hashed_aig design( aig );
   const auto stop = deadline::in( options.sweep_deadline_seconds );
   std::vector<dse_point> points( configs.size() );
   std::vector<deadline> stops;
@@ -111,7 +112,8 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
   {
     points[i].label = dse_label( configs[i] );
     points[i].params = configs[i];
-    tails[i] = add_flow_tasks( graph, aig, configs[i], *cache, stops[i], points[i].result ).tail;
+    tails[i] =
+        add_flow_tasks( graph, design, configs[i], *cache, stops[i], points[i].result ).tail;
   }
 
   // Never start more workers than there are tasks to run.
@@ -190,7 +192,7 @@ struct design_build
   /// depend on wrote them.
   std::vector<deadline> stops;
   flow_artifact_cache cache;
-  aig_network aig;
+  hashed_aig design; ///< set by the elaborate task
   task_id elaborate = 0;
   std::vector<task_id> tails;
   task_id first_task = 0; ///< [first_task, last_task) are this design's tasks
@@ -241,9 +243,9 @@ std::vector<design_exploration> explore_designs_graph(
           throw budget_exhausted( "sweep deadline expired before the design started" );
         }
         fault_injection::poll( "dse.elaborate" );
-        slot->aig =
+        slot->design = hashed_aig(
             verilog::elaborate_verilog( reciprocal_verilog( design, n ), slot->entry.name )
-                .aig;
+                .aig );
         // Arm the per-configuration deadlines NOW — the design's start.
         // Every flow task depends on this task, so the writes are ordered
         // before any read.
@@ -257,7 +259,7 @@ std::vector<design_exploration> explore_designs_graph(
       {
         slot->points[i].label = dse_label( slot->configs[i] );
         slot->points[i].params = slot->configs[i];
-        slot->tails.push_back( add_flow_tasks( graph, slot->aig, slot->configs[i], slot->cache,
+        slot->tails.push_back( add_flow_tasks( graph, slot->design, slot->configs[i], slot->cache,
                                                slot->stops[i], slot->points[i].result, prefix,
                                                { slot->elaborate } )
                                    .tail );

@@ -395,25 +395,27 @@ flow_artifact_cache::lookup( std::map<std::string, cell<Artifact>>& cells, std::
   return out;
 }
 
-const aig_network& flow_artifact_cache::optimized( const aig_network& aig, unsigned rounds )
+const aig_network& flow_artifact_cache::optimized( const hashed_aig& design, unsigned rounds,
+                                                   const deadline& stop )
 {
   return *lookup(
-      optimized_, aig.content_hash(), optimize_artifact_key( rounds ),
+      optimized_, design.hash(), optimize_artifact_key( rounds ),
       [&] {
         fault_injection::poll( "flow.optimize" );
-        return optimize( aig, rounds );
+        return optimize( design.aig(), rounds, stop );
       },
       keep_published ).value;
 }
 
 const flow_artifact_cache::functional_artifact&
-flow_artifact_cache::functional_intermediate( const aig_network& aig, unsigned rounds )
+flow_artifact_cache::functional_intermediate( const hashed_aig& design, unsigned rounds,
+                                              const deadline& stop )
 {
   return *lookup(
-      functional_, aig.content_hash(),
+      functional_, design.hash(),
       flow_artifact_key( { .kind = flow_kind::functional, .optimization_rounds = rounds } ),
       [&] {
-        const auto& opt = optimized( aig, rounds );
+        const auto& opt = optimized( design, rounds, stop );
         fault_injection::poll( "flow.collapse" );
         functional_artifact art;
         art.outputs = collapse_to_truth_tables( opt );
@@ -424,7 +426,7 @@ flow_artifact_cache::functional_intermediate( const aig_network& aig, unsigned r
 }
 
 const flow_artifact_cache::esop_artifact&
-flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
+flow_artifact_cache::esop_intermediate( const hashed_aig& design, unsigned rounds,
                                         bool run_exorcism,
                                         const exorcism_params& minimize_limits )
 {
@@ -433,12 +435,12 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
   // budget instead of reusing the half-minimized cube list as-is.
   const bool requester_has_budget = run_exorcism && !minimize_limits.stop.expired();
   return *lookup(
-      esops_, aig.content_hash(),
+      esops_, design.hash(),
       flow_artifact_key( { .kind = flow_kind::esop_based,
                            .optimization_rounds = rounds,
                            .run_exorcism = run_exorcism } ),
       [&] {
-        const auto& opt = optimized( aig, rounds );
+        const auto& opt = optimized( design, rounds, minimize_limits.stop );
         fault_injection::poll( "flow.esop" );
         esop_artifact art;
         art.expression = esop_from_aig( opt );
@@ -463,16 +465,16 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
 }
 
 const flow_artifact_cache::xmg_artifact&
-flow_artifact_cache::xmg_intermediate( const aig_network& aig, unsigned rounds,
-                                       unsigned cut_size )
+flow_artifact_cache::xmg_intermediate( const hashed_aig& design, unsigned rounds,
+                                       unsigned cut_size, const deadline& stop )
 {
   return *lookup(
-      xmgs_, aig.content_hash(),
+      xmgs_, design.hash(),
       flow_artifact_key( { .kind = flow_kind::hierarchical,
                            .optimization_rounds = rounds,
                            .cut_size = cut_size } ),
       [&] {
-        const auto& opt = optimized( aig, rounds );
+        const auto& opt = optimized( design, rounds, stop );
         fault_injection::poll( "flow.xmg" );
         xmg_artifact art;
         art.graph = xmg_from_aig( opt, cut_size, &art.stats );
@@ -482,11 +484,11 @@ flow_artifact_cache::xmg_intermediate( const aig_network& aig, unsigned rounds,
 }
 
 flow_artifact_cache::answer<flow_artifact_cache::outcome_artifact>
-flow_artifact_cache::outcome( std::uint64_t design_hash, const flow_params& params,
+flow_artifact_cache::outcome( const hashed_aig& design, const flow_params& params,
                               const std::function<flow_result()>& compute )
 {
   const auto run = [&] { return outcome_artifact{ compute(), params.limits }; };
-  return lookup( outcomes_, design_hash, outcome_key( params ), run,
+  return lookup( outcomes_, design.hash(), outcome_key( params ), run,
                  [&]( const outcome_artifact& cached ) -> std::shared_ptr<const outcome_artifact> {
                    // Recomputing can only improve an imperfect outcome, and
                    // only for a requester that brings strictly more budget.
@@ -556,7 +558,7 @@ std::string outcome_key( const flow_params& params )
   return key;
 }
 
-flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
+flow_task_ids add_flow_tasks( task_graph& graph, const hashed_aig& design,
                               const flow_params& params, flow_artifact_cache& cache,
                               const deadline& stop, flow_result& out,
                               const std::string& key_prefix,
@@ -565,7 +567,9 @@ flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
   flow_task_ids ids;
   ids.optimize = graph.add_shared(
       key_prefix + optimize_artifact_key( params.optimization_rounds ),
-      [&aig, &cache, rounds = params.optimization_rounds] { cache.optimized( aig, rounds ); },
+      [&design, &cache, rounds = params.optimization_rounds, stop_ptr = &stop] {
+        cache.optimized( design, rounds, *stop_ptr );
+      },
       extra_deps );
 
   const auto artifact_key = key_prefix + flow_artifact_key( params );
@@ -574,30 +578,29 @@ flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
   case flow_kind::functional:
     ids.artifact = graph.add_shared(
         artifact_key,
-        [&aig, &cache, rounds = params.optimization_rounds] {
-          cache.functional_intermediate( aig, rounds );
+        [&design, &cache, rounds = params.optimization_rounds, stop_ptr = &stop] {
+          cache.functional_intermediate( design, rounds, *stop_ptr );
         },
         { ids.optimize } );
     break;
   case flow_kind::esop_based:
     ids.artifact = graph.add_shared(
         artifact_key,
-        [&aig, &cache, rounds = params.optimization_rounds,
+        [&design, &cache, rounds = params.optimization_rounds,
          run_exorcism = params.run_exorcism,
          pair_budget = params.limits.exorcism_pair_budget, stop_ptr = &stop] {
           exorcism_params mlimits;
           mlimits.pair_budget = pair_budget;
           mlimits.stop = *stop_ptr;
-          cache.esop_intermediate( aig, rounds, run_exorcism, mlimits );
+          cache.esop_intermediate( design, rounds, run_exorcism, mlimits );
         },
         { ids.optimize } );
     break;
   case flow_kind::hierarchical:
     ids.artifact = graph.add_shared(
         artifact_key,
-        [&aig, &cache, rounds = params.optimization_rounds, cut = params.cut_size] {
-          cache.xmg_intermediate( aig, rounds, cut );
-        },
+        [&design, &cache, rounds = params.optimization_rounds, cut = params.cut_size,
+         stop_ptr = &stop] { cache.xmg_intermediate( design, rounds, cut, *stop_ptr ); },
         { ids.optimize } );
     break;
   }
@@ -610,12 +613,12 @@ flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
   // the per-configuration clock lazily from an upstream task.
   ids.tail = graph.add(
       key_prefix + "tail:" + dse_label( params ) + "#" + std::to_string( graph.size() ),
-      [&aig, &cache, &out, params, stop_ptr = &stop] {
+      [&design, &cache, &out, params, stop_ptr = &stop] {
         if ( stop_ptr->expired() )
         {
           throw budget_exhausted( "deadline expired before the configuration started" );
         }
-        out = run_flow_staged( aig, params, cache, *stop_ptr );
+        out = run_flow_staged( design, params, cache, *stop_ptr );
       },
       { ids.artifact } );
   return ids;
@@ -709,17 +712,17 @@ void finalize_verify_status( flow_result& result )
 
 } // namespace
 
-flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
+flow_result run_flow_staged( const hashed_aig& design, const flow_params& params,
                              flow_artifact_cache& cache )
 {
-  return run_flow_staged( aig, params, cache, deadline::in( params.limits.deadline_seconds ) );
+  return run_flow_staged( design, params, cache, deadline::in( params.limits.deadline_seconds ) );
 }
 
-flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
+flow_result run_flow_staged( const hashed_aig& design, const flow_params& params,
                              flow_artifact_cache& cache, const deadline& stop )
 {
   stopwatch watch;
-  const auto& optimized = cache.optimized( aig, params.optimization_rounds );
+  const auto& optimized = cache.optimized( design, params.optimization_rounds, stop );
 
   flow_result result;
   const std::vector<truth_table>* verify_outputs = nullptr;
@@ -727,7 +730,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
   {
   case flow_kind::functional:
   {
-    const auto& art = cache.functional_intermediate( aig, params.optimization_rounds );
+    const auto& art = cache.functional_intermediate( design, params.optimization_rounds, stop );
     result = functional_tail( art, params, stop );
     verify_outputs = &art.outputs;
     break;
@@ -737,7 +740,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
     exorcism_params mlimits;
     mlimits.pair_budget = params.limits.exorcism_pair_budget;
     mlimits.stop = stop;
-    const auto& art = cache.esop_intermediate( aig, params.optimization_rounds,
+    const auto& art = cache.esop_intermediate( design, params.optimization_rounds,
                                                params.run_exorcism, mlimits );
     result.esop_terms = art.terms;
     if ( art.budget_exhausted )
@@ -753,7 +756,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
   case flow_kind::hierarchical:
   {
     const auto& art =
-        cache.xmg_intermediate( aig, params.optimization_rounds, params.cut_size );
+        cache.xmg_intermediate( design, params.optimization_rounds, params.cut_size, stop );
     result.xmg_maj = art.graph.num_maj();
     result.xmg_xor = art.graph.num_xor();
     hierarchical_params hparams;
@@ -762,7 +765,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
     break;
   }
   }
-  result.aig_nodes_initial = aig.num_ands();
+  result.aig_nodes_initial = design.aig().num_ands();
   result.aig_nodes_optimized = optimized.num_ands();
   result.costs = report_costs( result.circuit );
   // Synthesis runtime only: the stopwatch stops BEFORE verification, which
@@ -862,7 +865,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
 flow_result run_flow_on_aig( const aig_network& aig, const flow_params& params )
 {
   flow_artifact_cache cache;
-  return run_flow_staged( aig, params, cache );
+  return run_flow_staged( hashed_aig( aig ), params, cache );
 }
 
 flow_result run_flow_on_verilog( const std::string& verilog_source, const flow_params& params )

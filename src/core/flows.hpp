@@ -216,10 +216,33 @@ enum class cache_tier
   computed
 };
 
+/// A design AIG with its structural content hash
+/// (`aig_network::content_hash()`), computed once when the value is built.
+/// It is the design argument of every `flow_artifact_cache` lookup, so a
+/// lookup costs no pass over the design.  It can only be built from the
+/// AIG and never changes afterwards, so the hash cannot go stale.
+class hashed_aig
+{
+public:
+  /// The 0-input, 0-output design.
+  hashed_aig() : hashed_aig( aig_network( 0 ) ) {}
+  explicit hashed_aig( aig_network aig )
+      : aig_( std::move( aig ) ), hash_( aig_.content_hash() )
+  {
+  }
+
+  [[nodiscard]] const aig_network& aig() const noexcept { return aig_; }
+  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
+
+private:
+  aig_network aig_;
+  std::uint64_t hash_;
+};
+
 /// Memoizes the stage artifacts and the synthesize outcomes of the flows
 /// for ONE design AIG.  The
-/// cache binds to the first design it sees via a structural content hash
-/// (`aig_network::content_hash()`) and rejects any other design with
+/// cache binds to the first design it sees via its structural content
+/// hash (`hashed_aig::hash()`) and rejects any other design with
 /// std::invalid_argument — including equal-sized distinct designs, which
 /// the old size-only fingerprint silently aliased.  Each artifact is
 /// keyed on the parameter subset the stage depends on
@@ -280,10 +303,15 @@ public:
     xmg_resynth_stats stats;
   };
 
-  /// Optimized AIG, keyed on the number of dc2-style rounds.
-  const aig_network& optimized( const aig_network& aig, unsigned rounds );
+  /// Optimized AIG, keyed on the number of dc2-style rounds.  `stop` is
+  /// the requester's deadline: an optimization it stops throws
+  /// `budget_exhausted` and publishes nothing.  Every intermediate below
+  /// passes its own deadline on to the nested `optimized` lookup.
+  const aig_network& optimized( const hashed_aig& design, unsigned rounds,
+                                const deadline& stop = {} );
   /// Collapse + optimum embedding, keyed on rounds.
-  const functional_artifact& functional_intermediate( const aig_network& aig, unsigned rounds );
+  const functional_artifact& functional_intermediate( const hashed_aig& design, unsigned rounds,
+                                                      const deadline& stop = {} );
   /// Extraction + optional exorcism, keyed on (rounds, run_exorcism).
   /// `minimize_limits` (EXORCISM pair budget + deadline) applies on a
   /// miss; on a hit whose cached artifact stopped at its budget
@@ -294,12 +322,13 @@ public:
   /// warm-started process) to a half-minimized cube list forever.
   /// References returned earlier stay valid (the superseded artifact is
   /// retired, not destroyed).
-  const esop_artifact& esop_intermediate( const aig_network& aig, unsigned rounds,
+  /// `minimize_limits.stop` is also the nested optimization's deadline.
+  const esop_artifact& esop_intermediate( const hashed_aig& design, unsigned rounds,
                                           bool run_exorcism,
                                           const exorcism_params& minimize_limits = {} );
   /// LUT map + XMG resynthesis, keyed on (rounds, cut_size).
-  const xmg_artifact& xmg_intermediate( const aig_network& aig, unsigned rounds,
-                                        unsigned cut_size );
+  const xmg_artifact& xmg_intermediate( const hashed_aig& design, unsigned rounds,
+                                        unsigned cut_size, const deadline& stop = {} );
 
   /// A synthesize outcome plus the budget it was produced under.
   struct outcome_artifact
@@ -318,15 +347,13 @@ public:
     bool refreshed = false;
   };
 
-  /// The synthesize outcome of `params` (`qsynd`'s result cache) on the
-  /// design whose `content_hash()` is `design_hash` (the caller hashes the
-  /// design once, so a hit costs no pass over it), keyed on
-  /// `outcome_key(params)`.  `compute` runs on a miss, and to upgrade an
-  /// imperfect (degraded or verify-downgraded) outcome for strictly more
-  /// generous `params.limits`.  Only `ok`/`degraded` outcomes are
+  /// The synthesize outcome of `params` (`qsynd`'s result cache) on
+  /// `design`, keyed on `outcome_key(params)`.  `compute` runs on a miss,
+  /// and to upgrade an imperfect (degraded or verify-downgraded) outcome
+  /// for strictly more generous `params.limits`.  Only `ok`/`degraded` outcomes are
   /// published; a `timed_out`/`failed` one reaches only its computing
   /// caller.  Not counted in `stats()`; does not poll `cache.hit`.
-  answer<outcome_artifact> outcome( std::uint64_t design_hash, const flow_params& params,
+  answer<outcome_artifact> outcome( const hashed_aig& design, const flow_params& params,
                                     const std::function<flow_result()>& compute );
 
   /// The cache's persistent incremental SAT equivalence engine
@@ -412,12 +439,14 @@ struct flow_task_ids
 /// three task ids.  Artifact tasks are keyed `key_prefix +
 /// optimize_artifact_key/flow_artifact_key` via `task_graph::add_shared`,
 /// so configurations (or repeat calls) sharing an artifact coalesce onto
-/// ONE task — the first caller's budget limits apply to the shared stage
-/// (a later tail with remaining budget upgrades a budget-exhausted ESOP
-/// artifact through `flow_artifact_cache::esop_intermediate`'s
-/// re-minimization path).  The tail task runs
+/// ONE task — the first caller's budget limits and deadline apply to the
+/// shared stage (a later tail with remaining budget upgrades a
+/// budget-exhausted ESOP artifact through
+/// `flow_artifact_cache::esop_intermediate`'s re-minimization path; a
+/// stage its deadline stopped publishes nothing and the next request
+/// recomputes it).  The tail task runs
 /// `run_flow_staged` (every stage lookup then hits) and assigns `out`;
-/// `aig`, `cache`, `stop`, and `out` must outlive the graph run.  `stop`
+/// `design`, `cache`, `stop`, and `out` must outlive the graph run.  `stop`
 /// is read when each task runs, not copied at build time, so a batch
 /// driver can arm the per-configuration deadline lazily from an upstream
 /// task (e.g. the design's elaborate task) and late-scheduled designs do
@@ -426,7 +455,7 @@ struct flow_task_ids
 /// elaboration task).  A failing stage task poisons only the tails that
 /// depend on it; the DSE layer maps the poisoned tasks' blame keys back
 /// into `flow_status` records.
-flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
+flow_task_ids add_flow_tasks( task_graph& graph, const hashed_aig& design,
                               const flow_params& params, flow_artifact_cache& cache,
                               const deadline& stop, flow_result& out,
                               const std::string& key_prefix = {},
@@ -450,13 +479,13 @@ void fill_flow_status_from_graph( const task_graph& graph, task_id tail, flow_re
 /// kernel without a partial result (TBS) throws `qsyn::budget_exhausted`,
 /// anytime kernels and the verify ladder degrade instead and record it in
 /// `status` / `verify_downgraded`.
-flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
+flow_result run_flow_staged( const hashed_aig& design, const flow_params& params,
                              flow_artifact_cache& cache );
 
 /// As above with an externally armed deadline (e.g. a DSE sweep deadline
 /// already tightened by the per-design budget); `params.limits`'s
 /// non-deadline caps still apply.
-flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
+flow_result run_flow_staged( const hashed_aig& design, const flow_params& params,
                              flow_artifact_cache& cache, const deadline& stop );
 
 /// Runs a flow on an already-elaborated AIG (one-shot private cache).

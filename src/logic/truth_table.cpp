@@ -324,36 +324,7 @@ truth_table truth_table::cofactor( unsigned var, bool polarity ) const
 bool truth_table::depends_on( unsigned var ) const
 {
   assert( var < num_vars_ );
-  if ( var < 6u )
-  {
-    // Compare the var=1 half of each block against the var=0 half in place:
-    // bit p (with index-bit var clear) differs from bit p + 2^var iff
-    // (b ^ (b >> 2^var)) is set at p.
-    const unsigned shift = 1u << var;
-    const auto low_half = ~projections[var];
-    for ( const auto b : blocks_ )
-    {
-      if ( ( ( b ^ ( b >> shift ) ) & low_half ) != 0u )
-      {
-        return true;
-      }
-    }
-    return false;
-  }
-  // Variable lives across blocks: compare block i against block i + period
-  // for every i whose period-bit is clear.
-  const std::size_t period = std::size_t{ 1 } << ( var - 6u );
-  for ( std::size_t base = 0; base < blocks_.size(); base += 2u * period )
-  {
-    for ( std::size_t k = 0; k < period; ++k )
-    {
-      if ( blocks_[base + k] != blocks_[base + period + k] )
-      {
-        return true;
-      }
-    }
-  }
-  return false;
+  return blocks_depend_on( blocks_.data(), blocks_.size(), var );
 }
 
 std::vector<unsigned> truth_table::support() const

@@ -3,8 +3,8 @@
 ///
 /// Truth tables are the explicit function representation used by the
 /// functional reversible synthesis flow (Sec. IV-A of the paper) and by the
-/// small-function resynthesis engines (ISOP refactoring, PSDKRO ESOP
-/// extraction, xmglut-style LUT resynthesis).  Bit i of the table stores
+/// small-function resynthesis engines (PSDKRO ESOP extraction,
+/// xmglut-style LUT resynthesis).  Bit i of the table stores
 /// f(x) for the input assignment x whose binary encoding is i, with
 /// variable 0 being the least significant input.
 
@@ -22,8 +22,10 @@ namespace qsyn
 
 /// The 64-bit blocks of a truth table.  Up to `inline_blocks` blocks (8
 /// variables) live inside the object; larger tables go to the heap.  The
-/// hot small-function kernels (ISOP, cone collapse, cofactors) create
-/// millions of tables of at most 8 variables, which then never allocate.
+/// hot small-function kernels (cone collapse, cofactors, the LUT functions
+/// of the XMG resynthesis) create millions of tables of at most 8
+/// variables, which then never allocate.  ISOP builds no tables at all:
+/// it runs on raw words (src/synth/isop.hpp).
 class tt_blocks
 {
 public:

@@ -518,16 +518,15 @@ std::string error_response( const std::string& message, const std::string& code 
 // --- daemon core -------------------------------------------------------------
 
 /// Everything the daemon keeps alive for one (design, bitwidth): the
-/// elaborated AIG, its content hash (the outcome cells' design key, hashed
+/// elaborated AIG with its content hash (every lookup's design key, hashed
 /// once) and its `flow_artifact_cache`, which holds the stage artifacts,
 /// the synthesize outcomes and the persistent SAT engine, and is attached
 /// to the shared store.
 struct synthesis_daemon::design_context
 {
   std::mutex elaborate_mutex;            ///< held by the one request elaborating
-  std::atomic<bool> elaborated{ false }; ///< `aig` and `design_hash` are set
-  aig_network aig{ 0 };
-  std::uint64_t design_hash = 0;
+  std::atomic<bool> elaborated{ false }; ///< `design` is set
+  hashed_aig design;
   flow_artifact_cache cache;
 };
 
@@ -571,9 +570,8 @@ synthesis_daemon::design_context& synthesis_daemon::context_for( reciprocal_desi
   if ( !ctx->elaborated.load() )
   {
     fault_injection::poll( "daemon.elaborate" );
-    auto aig = verilog::elaborate_verilog( reciprocal_verilog( design, bitwidth ) ).aig;
-    ctx->design_hash = aig.content_hash();
-    ctx->aig = std::move( aig );
+    ctx->design =
+        hashed_aig( verilog::elaborate_verilog( reciprocal_verilog( design, bitwidth ) ).aig );
     ctx->elaborated.store( true );
   }
   return *ctx;
@@ -596,7 +594,7 @@ std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std
   // request's computation, or a computation of our own, which claims an
   // admission slot and runs the staged flow as a task graph on the shared
   // pool.  Stage work still coalesces per design through the stage cells.
-  const auto answer = ctx.cache.outcome( ctx.design_hash, params, [&] {
+  const auto answer = ctx.cache.outcome( ctx.design, params, [&] {
     // Only a computing request holds an admission slot.  The release is
     // armed before the claim, so a refused claim gives its count back too.
     const std::unique_ptr<std::atomic<std::size_t>, release_slot> slot( &inflight_ );
@@ -607,7 +605,7 @@ std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std
     }
     flow_result out;
     task_graph graph;
-    const auto ids = add_flow_tasks( graph, ctx.aig, params, ctx.cache, stop, out );
+    const auto ids = add_flow_tasks( graph, ctx.design, params, ctx.cache, stop, out );
     graph.run( *pool_, stop );
     fill_flow_status_from_graph( graph, ids.tail, out );
     return out;

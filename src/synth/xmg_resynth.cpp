@@ -1,6 +1,7 @@
 #include "xmg_resynth.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <optional>
 
@@ -251,8 +252,10 @@ private:
     // for the complement (free output inverters).
     const auto pprm = pprm_from_truth_table( tt );
     const auto pprm_compl = pprm_from_truth_table( ~tt );
-    const auto sop = isop( tt );
-    const auto sop_compl = isop( ~tt );
+    sop_.clear();
+    isop( tt, sop_ );
+    sop_complement_.clear();
+    isop( ~tt, sop_complement_ );
 
     struct candidate
     {
@@ -265,12 +268,12 @@ private:
       bool complemented;
       form_cost cost;
     };
-    std::vector<candidate> cands = {
+    const std::array<candidate, 4> cands = { {
         { candidate::form::pprm, &pprm, false, pprm_cost( pprm ) },
         { candidate::form::pprm, &pprm_compl, true, pprm_cost( pprm_compl ) },
-        { candidate::form::sop, &sop, false, isop_cost( sop ) },
-        { candidate::form::sop, &sop_compl, true, isop_cost( sop_compl ) },
-    };
+        { candidate::form::sop, &sop_, false, isop_cost( sop_ ) },
+        { candidate::form::sop, &sop_complement_, true, isop_cost( sop_complement_ ) },
+    } };
     const auto best = std::min_element( cands.begin(), cands.end(),
                                         []( const candidate& a, const candidate& b ) {
                                           return a.cost < b.cost;
@@ -327,6 +330,10 @@ private:
   const lut_network& net_;
   xmg_resynth_stats* stats_;
   xmg_network xmg_;
+  /// ISOPs of the current LUT function and of its complement, reused
+  /// across LUTs.
+  std::vector<cube> sop_;
+  std::vector<cube> sop_complement_;
 };
 
 } // namespace

@@ -173,8 +173,8 @@ TEST( dse_engine, cache_is_bound_to_one_design )
   flow_artifact_cache cache;
   flow_params params;
   params.kind = flow_kind::esop_based;
-  run_flow_staged( a.aig, params, cache );
-  EXPECT_THROW( run_flow_staged( b.aig, params, cache ), std::invalid_argument );
+  run_flow_staged( hashed_aig( a.aig ), params, cache );
+  EXPECT_THROW( run_flow_staged( hashed_aig( b.aig ), params, cache ), std::invalid_argument );
 }
 
 TEST( dse_engine, second_staged_run_hits_every_stage )
@@ -184,9 +184,9 @@ TEST( dse_engine, second_staged_run_hits_every_stage )
   flow_artifact_cache cache;
   flow_params params;
   params.kind = flow_kind::hierarchical;
-  run_flow_staged( mod.aig, params, cache );
+  run_flow_staged( hashed_aig( mod.aig ), params, cache );
   const auto misses_before = cache.stats().misses;
-  const auto r = run_flow_staged( mod.aig, params, cache );
+  const auto r = run_flow_staged( hashed_aig( mod.aig ), params, cache );
   EXPECT_EQ( cache.stats().misses, misses_before ); // no new stage work
   EXPECT_TRUE( r.verified );
 }

@@ -310,14 +310,14 @@ TEST( flows, cut_size_is_a_flow_param_and_cache_axis )
   k3.cut_size = 3;
 
   flow_artifact_cache cache;
-  const auto r4 = run_flow_staged( mod.aig, k4, cache );
+  const auto r4 = run_flow_staged( hashed_aig( mod.aig ), k4, cache );
   const auto misses_after_k4 = cache.stats().misses;
-  const auto r3 = run_flow_staged( mod.aig, k3, cache );
+  const auto r3 = run_flow_staged( hashed_aig( mod.aig ), k3, cache );
   const auto misses_after_k3 = cache.stats().misses;
   // Different cut sizes are distinct XMG artifacts (a fresh miss)...
   EXPECT_GT( misses_after_k3, misses_after_k4 );
   // ...while re-running an already-seen cut size only hits.
-  const auto r4_again = run_flow_staged( mod.aig, k4, cache );
+  const auto r4_again = run_flow_staged( hashed_aig( mod.aig ), k4, cache );
   EXPECT_EQ( cache.stats().misses, misses_after_k3 );
   // Both mappings synthesize correct circuits with their own structure.
   EXPECT_TRUE( r4.verified );
@@ -346,7 +346,7 @@ TEST( flows, sat_tier_reuses_one_engine_across_a_sweep )
       params.kind = kind;
       params.cleanup = cleanup;
       params.verification = verify_mode::sat;
-      const auto result = run_flow_staged( mod.aig, params, cache );
+      const auto result = run_flow_staged( hashed_aig( mod.aig ), params, cache );
       EXPECT_TRUE( result.verified ) << n;
       EXPECT_EQ( result.verified_with, verify_mode::sat ) << n;
     }
@@ -392,14 +392,14 @@ TEST( flows, cache_rejects_same_size_different_function_design )
   flow_params params;
   params.kind = flow_kind::esop_based;
   flow_artifact_cache cache;
-  const auto first = run_flow_staged( and_ab, params, cache );
+  const auto first = run_flow_staged( hashed_aig( and_ab ), params, cache );
   EXPECT_TRUE( first.verified );
-  EXPECT_THROW( run_flow_staged( and_anb, params, cache ), std::invalid_argument );
+  EXPECT_THROW( run_flow_staged( hashed_aig( and_anb ), params, cache ), std::invalid_argument );
 
   // A structurally identical copy is the same design and is accepted.
   aig_network copy( 2 );
   copy.add_po( copy.create_and( copy.pi( 0 ), copy.pi( 1 ) ) );
-  const auto again = run_flow_staged( copy, params, cache );
+  const auto again = run_flow_staged( hashed_aig( copy ), params, cache );
   EXPECT_TRUE( again.verified );
   EXPECT_EQ( again.costs.t_count, first.costs.t_count );
   EXPECT_GT( cache.stats().hits, 0u ); // the copy reused the first run's artifacts

@@ -28,6 +28,7 @@
 #include "rsynth/tbs.hpp"
 #include "sat/incremental.hpp"
 #include "sat/solver.hpp"
+#include "synth/aig_optimize.hpp"
 #include "synth/exorcism.hpp"
 #include "verilog/elaborator.hpp"
 #include "verilog/parser.hpp"
@@ -268,6 +269,47 @@ TEST( robustness_tbs, expired_deadline_throws_budget_exhausted )
   EXPECT_NO_THROW( tbs_synthesize( perm, tbs_params{} ) );
 }
 
+// --- optimize: no partial result, so expiry throws ---------------------------
+
+TEST( robustness_optimize, expired_deadline_throws_budget_exhausted )
+{
+  // NEWTON(6) has well over one poll interval of AND nodes, so every pass
+  // reaches a poll.
+  const auto aig =
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 6 ) ).aig;
+  ASSERT_GT( aig.num_ands(), 1000u );
+  EXPECT_THROW( aig_balance( aig, expired_deadline() ), budget_exhausted );
+  EXPECT_THROW( aig_refactor( aig, 8, expired_deadline() ), budget_exhausted );
+  EXPECT_THROW( optimize( aig, 1, expired_deadline() ), budget_exhausted );
+  // Zero rounds do no balance/refactor work and never poll.
+  EXPECT_EQ( optimize( aig, 0, expired_deadline() ).content_hash(),
+             aig.cleanup().content_hash() );
+  // Unlimited deadline: the same calls succeed, bit-identically.
+  EXPECT_EQ( optimize( aig, 1, deadline{} ).content_hash(), optimize( aig, 1 ).content_hash() );
+}
+
+TEST( robustness_optimize, stopped_optimize_publishes_nothing_and_times_the_flow_out )
+{
+  // Regression: the optimize stage ignored the requester's deadline, so a
+  // flow with no verification ran every stage to completion and returned
+  // `ok` past an expired deadline.
+  const hashed_aig design(
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 6 ) ).aig );
+  flow_params params;
+  params.kind = flow_kind::hierarchical;
+  params.verify = false;
+  flow_artifact_cache cache;
+  EXPECT_THROW( run_flow_staged( design, params, cache, expired_deadline() ), budget_exhausted );
+  EXPECT_THROW( cache.optimized( design, 2, expired_deadline() ), budget_exhausted );
+  EXPECT_EQ( cache.stats().misses, 0u ); // nothing was published
+
+  // The next requester with budget computes the stage.
+  const auto& optimized = cache.optimized( design, 2 );
+  EXPECT_EQ( cache.stats().misses, 1u );
+  EXPECT_EQ( optimized.content_hash(), optimize( design.aig(), 2 ).content_hash() );
+  EXPECT_EQ( run_flow_staged( design, params, cache ).status, flow_status::ok );
+}
+
 // --- EXORCISM: anytime, graceful stop ----------------------------------------
 
 TEST( robustness_exorcism, pair_budget_stops_gracefully_and_preserves_function )
@@ -390,7 +432,7 @@ TEST( robustness_flows, sat_budget_exhaustion_degrades_to_exhaustive_proof )
 
   flow_artifact_cache cache;
   fault_injection::arm( "verify.sat", fault_injection::kind::trip );
-  const auto result = run_flow_staged( mod.aig, params, cache );
+  const auto result = run_flow_staged( hashed_aig( mod.aig ), params, cache );
   fault_injection::disarm_all();
 
   EXPECT_TRUE( result.verify_downgraded );
@@ -412,7 +454,7 @@ TEST( robustness_flows, sat_budget_exhaustion_degrades_to_sampled_when_too_wide 
 
   flow_artifact_cache cache;
   fault_injection::arm( "verify.sat", fault_injection::kind::trip );
-  const auto result = run_flow_staged( mod.aig, params, cache );
+  const auto result = run_flow_staged( hashed_aig( mod.aig ), params, cache );
   fault_injection::disarm_all();
 
   EXPECT_TRUE( result.verify_downgraded );
@@ -429,7 +471,7 @@ TEST( robustness_flows, unarmed_sat_tier_is_unaffected )
   params.kind = flow_kind::esop_based;
   params.verification = verify_mode::sat;
   flow_artifact_cache cache;
-  const auto result = run_flow_staged( mod.aig, params, cache );
+  const auto result = run_flow_staged( hashed_aig( mod.aig ), params, cache );
   EXPECT_TRUE( result.verified );
   EXPECT_FALSE( result.verify_downgraded );
   EXPECT_EQ( result.verified_with, verify_mode::sat );
@@ -446,11 +488,11 @@ TEST( robustness_faults, tripped_cache_hit_recomputes_without_changing_results )
   params.kind = flow_kind::hierarchical;
 
   flow_artifact_cache cache;
-  const auto baseline = run_flow_staged( mod.aig, params, cache );
+  const auto baseline = run_flow_staged( hashed_aig( mod.aig ), params, cache );
   const auto misses_before = cache.stats().misses;
 
   fault_injection::arm( "cache.hit", fault_injection::kind::trip );
-  const auto rerun = run_flow_staged( mod.aig, params, cache );
+  const auto rerun = run_flow_staged( hashed_aig( mod.aig ), params, cache );
   EXPECT_GT( fault_injection::hits( "cache.hit" ), 0u ); // before disarm: it resets counters
   fault_injection::disarm_all();
 

@@ -541,13 +541,19 @@ TEST( scheduler_graph, flow_tasks_read_their_deadline_when_they_run )
     token.request_cancel();
     armed = deadline::with_token( token );
   } );
-  const auto ids =
-      add_flow_tasks( graph, mod.aig, params, cache, armed, out, {}, { arm } );
+  const hashed_aig design( mod.aig );
+  const auto ids = add_flow_tasks( graph, design, params, cache, armed, out, {}, { arm } );
   thread_pool pool( 1 );
   graph.run( pool );
 
-  EXPECT_EQ( graph.state( ids.tail ), task_state::failed );
+  // The optimize task is the first to read the slot: the optimization
+  // polls it and stops, which poisons the tail with the same error.
+  EXPECT_EQ( graph.state( ids.optimize ), task_state::failed );
+  EXPECT_THROW( std::rethrow_exception( graph.error( ids.optimize ) ), budget_exhausted );
+  EXPECT_EQ( graph.state( ids.tail ), task_state::poisoned );
   EXPECT_THROW( std::rethrow_exception( graph.error( ids.tail ) ), budget_exhausted );
+  fill_flow_status_from_graph( graph, ids.tail, out );
+  EXPECT_EQ( out.status, flow_status::timed_out );
 }
 
 // --- graph-scheduled DSE -----------------------------------------------------

@@ -437,7 +437,7 @@ TEST( cache_store_tier, warm_cache_recomputes_nothing_and_is_bit_identical )
 {
   temp_dir dir;
   const auto root = dir.path + "/store";
-  const auto aig = elaborated_intdiv( 5 );
+  const hashed_aig design( elaborated_intdiv( 5 ) );
 
   flow_params esop_params;
   esop_params.kind = flow_kind::esop_based;
@@ -449,8 +449,8 @@ TEST( cache_store_tier, warm_cache_recomputes_nothing_and_is_bit_identical )
   // Cold: compute everything, write the store.
   flow_artifact_cache cold;
   cold.attach_store( std::make_shared<store::artifact_store>( root ) );
-  const auto cold_esop = run_flow_staged( aig, esop_params, cold );
-  const auto cold_hier = run_flow_staged( aig, hier_params, cold );
+  const auto cold_esop = run_flow_staged( design, esop_params, cold );
+  const auto cold_hier = run_flow_staged( design, hier_params, cold );
   const auto cold_stats = cold.stats();
   EXPECT_EQ( cold_stats.misses, 3u ); // optimize, esop, xmg
   EXPECT_EQ( cold_stats.store_hits, 0u );
@@ -460,8 +460,8 @@ TEST( cache_store_tier, warm_cache_recomputes_nothing_and_is_bit_identical )
   // disk; nothing recomputes.
   flow_artifact_cache warm;
   warm.attach_store( std::make_shared<store::artifact_store>( root ) );
-  const auto warm_esop = run_flow_staged( aig, esop_params, warm );
-  const auto warm_hier = run_flow_staged( aig, hier_params, warm );
+  const auto warm_esop = run_flow_staged( design, esop_params, warm );
+  const auto warm_hier = run_flow_staged( design, hier_params, warm );
   const auto warm_stats = warm.stats();
   EXPECT_EQ( warm_stats.misses, 0u );
   EXPECT_EQ( warm_stats.store_hits, cold_stats.misses );
@@ -485,15 +485,15 @@ TEST( cache_store_tier, corrupt_store_entry_recomputes_silently )
 {
   temp_dir dir;
   const auto root = dir.path + "/store";
-  const auto aig = elaborated_intdiv( 4 );
+  const hashed_aig design( elaborated_intdiv( 4 ) );
 
   auto disk = std::make_shared<store::artifact_store>( root );
   flow_artifact_cache cold;
   cold.attach_store( disk );
-  cold.optimized( aig, 2 );
+  cold.optimized( design, 2 );
 
   // Vandalize the optimized-AIG entry.
-  const store::store_key key{ aig.content_hash(), store::payload_kind::aig, "optimize[r=2]" };
+  const store::store_key key{ design.hash(), store::payload_kind::aig, "optimize[r=2]" };
   {
     std::ofstream out( disk->entry_path( key ), std::ios::binary | std::ios::trunc );
     out << "not an artifact";
@@ -501,32 +501,32 @@ TEST( cache_store_tier, corrupt_store_entry_recomputes_silently )
 
   flow_artifact_cache warm;
   warm.attach_store( std::make_shared<store::artifact_store>( root ) );
-  const auto& recomputed = warm.optimized( aig, 2 );
+  const auto& recomputed = warm.optimized( design, 2 );
   EXPECT_EQ( warm.stats().misses, 1u ); // corrupt entry degraded to recompute
   EXPECT_EQ( warm.stats().store_hits, 0u );
 
   // ... and the recomputation repaired the entry on disk.
   flow_artifact_cache repaired;
   repaired.attach_store( std::make_shared<store::artifact_store>( root ) );
-  const auto& reloaded = repaired.optimized( aig, 2 );
+  const auto& reloaded = repaired.optimized( design, 2 );
   EXPECT_EQ( repaired.stats().store_hits, 1u );
   EXPECT_EQ( reloaded.content_hash(), recomputed.content_hash() );
 }
 
 TEST( cache_store_tier, budget_exhausted_esop_upgrades_on_later_budget )
 {
-  const auto aig = elaborated_intdiv( 5 );
+  const hashed_aig design( elaborated_intdiv( 5 ) );
 
   // In-memory upgrade: a tight first budget leaves a half-minimized cube
   // list; a later unlimited requester re-minimizes instead of reusing it.
   flow_artifact_cache cache;
   exorcism_params tight;
   tight.pair_budget = 1;
-  const auto& first = cache.esop_intermediate( aig, 2, true, tight );
+  const auto& first = cache.esop_intermediate( design, 2, true, tight );
   ASSERT_TRUE( first.budget_exhausted );
   const auto first_terms = first.terms;
 
-  const auto& upgraded = cache.esop_intermediate( aig, 2, true, exorcism_params{} );
+  const auto& upgraded = cache.esop_intermediate( design, 2, true, exorcism_params{} );
   EXPECT_FALSE( upgraded.budget_exhausted );
   EXPECT_LE( upgraded.terms, first_terms );
   // The reference handed out before the upgrade is retired, not destroyed.
@@ -534,7 +534,7 @@ TEST( cache_store_tier, budget_exhausted_esop_upgrades_on_later_budget )
   EXPECT_TRUE( first.budget_exhausted );
 
   // An already-minimized artifact is not re-minimized again (same object).
-  const auto& again = cache.esop_intermediate( aig, 2, true, exorcism_params{} );
+  const auto& again = cache.esop_intermediate( design, 2, true, exorcism_params{} );
   EXPECT_EQ( &again, &upgraded );
 }
 
@@ -542,7 +542,7 @@ TEST( cache_store_tier, budget_exhausted_store_entry_upgrades_across_processes )
 {
   temp_dir dir;
   const auto root = dir.path + "/store";
-  const auto aig = elaborated_intdiv( 5 );
+  const hashed_aig design( elaborated_intdiv( 5 ) );
 
   // "Process 1" stops at its pair budget and persists the exhausted entry.
   {
@@ -550,7 +550,7 @@ TEST( cache_store_tier, budget_exhausted_store_entry_upgrades_across_processes )
     cache.attach_store( std::make_shared<store::artifact_store>( root ) );
     exorcism_params tight;
     tight.pair_budget = 1;
-    const auto& art = cache.esop_intermediate( aig, 2, true, tight );
+    const auto& art = cache.esop_intermediate( design, 2, true, tight );
     ASSERT_TRUE( art.budget_exhausted );
   }
 
@@ -559,7 +559,7 @@ TEST( cache_store_tier, budget_exhausted_store_entry_upgrades_across_processes )
   {
     flow_artifact_cache cache;
     cache.attach_store( std::make_shared<store::artifact_store>( root ) );
-    const auto& art = cache.esop_intermediate( aig, 2, true, exorcism_params{} );
+    const auto& art = cache.esop_intermediate( design, 2, true, exorcism_params{} );
     EXPECT_FALSE( art.budget_exhausted );
     EXPECT_EQ( cache.stats().store_hits, 1u );
     EXPECT_EQ( cache.stats().misses, 0u );
@@ -569,7 +569,7 @@ TEST( cache_store_tier, budget_exhausted_store_entry_upgrades_across_processes )
   {
     flow_artifact_cache cache;
     cache.attach_store( std::make_shared<store::artifact_store>( root ) );
-    const auto& art = cache.esop_intermediate( aig, 2, true, exorcism_params{} );
+    const auto& art = cache.esop_intermediate( design, 2, true, exorcism_params{} );
     EXPECT_FALSE( art.budget_exhausted );
     EXPECT_EQ( cache.stats().store_hits, 1u );
   }
@@ -610,21 +610,21 @@ TEST( cache_store_tier, explore_options_store_warm_starts_a_sweep )
 TEST( cache_cells, stats_and_other_keys_answer_while_a_computation_is_in_flight )
 {
   fault_guard guard;
-  const auto aig =
-      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 10 ) ).aig;
+  const hashed_aig design(
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 10 ) ).aig );
   flow_artifact_cache cache;
   // Armed far beyond reach, the site only counts polls: one poll means the
   // XMG computation has started (its optimize lookup already returned).
   fault_injection::arm( "flow.xmg", fault_injection::kind::fail, 1000 );
   std::atomic<bool> done{ false };
   std::thread computing( [&] {
-    cache.xmg_intermediate( aig, 2, 6 );
+    cache.xmg_intermediate( design, 2, 6 );
     done.store( true );
   } );
   const bool started = wait_for_polls( "flow.xmg", 1, done );
 
   const auto in_flight = cache.stats();
-  const auto& optimized = cache.optimized( aig, 2 ); // a hit on another key
+  const auto& optimized = cache.optimized( design, 2 ); // a hit on another key
   const bool answered_in_flight = !done.load();
   computing.join();
 
@@ -632,20 +632,20 @@ TEST( cache_cells, stats_and_other_keys_answer_while_a_computation_is_in_flight 
   EXPECT_TRUE( answered_in_flight );
   EXPECT_EQ( in_flight.misses, 1u ); // optimize published, xmg not yet
   EXPECT_EQ( in_flight.hits, 0u );
-  EXPECT_EQ( optimized.num_ands(), optimize( aig, 2 ).num_ands() );
+  EXPECT_EQ( optimized.num_ands(), optimize( design.aig(), 2 ).num_ands() );
   EXPECT_EQ( cache.stats().misses, 2u );
 }
 
 TEST( cache_cells, concurrent_first_accesses_compute_once_without_a_graph )
 {
-  const auto aig = elaborated_intdiv( 5 );
+  const hashed_aig design( elaborated_intdiv( 5 ) );
   flow_artifact_cache cache;
   constexpr unsigned num_callers = 8;
   std::vector<const flow_artifact_cache::xmg_artifact*> seen( num_callers, nullptr );
   std::vector<std::thread> callers;
   for ( unsigned t = 0; t < num_callers; ++t )
   {
-    callers.emplace_back( [&, t] { seen[t] = &cache.xmg_intermediate( aig, 2, 4 ); } );
+    callers.emplace_back( [&, t] { seen[t] = &cache.xmg_intermediate( design, 2, 4 ); } );
   }
   for ( auto& t : callers )
   {
@@ -667,14 +667,14 @@ TEST( cache_cells, concurrent_first_accesses_compute_once_without_a_graph )
 TEST( cache_cells, failed_computation_publishes_nothing_and_the_next_caller_recomputes )
 {
   fault_guard guard;
-  const auto aig = elaborated_intdiv( 5 );
+  const hashed_aig design( elaborated_intdiv( 5 ) );
   flow_artifact_cache cache;
   fault_injection::arm( "flow.xmg", fault_injection::kind::fail, 0, 1 );
-  EXPECT_THROW( cache.xmg_intermediate( aig, 2, 4 ), fault_injection::injected_fault );
+  EXPECT_THROW( cache.xmg_intermediate( design, 2, 4 ), fault_injection::injected_fault );
 
-  const auto& art = cache.xmg_intermediate( aig, 2, 4 );
+  const auto& art = cache.xmg_intermediate( design, 2, 4 );
   flow_artifact_cache fresh;
-  const auto& expected = fresh.xmg_intermediate( aig, 2, 4 );
+  const auto& expected = fresh.xmg_intermediate( design, 2, 4 );
   EXPECT_EQ( art.graph.num_maj(), expected.graph.num_maj() );
   EXPECT_EQ( art.graph.num_xor(), expected.graph.num_xor() );
 
